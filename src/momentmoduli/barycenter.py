@@ -36,7 +36,7 @@ from .spaces import (
     atom_to_json,
     is_linear,
     pairwise_powered,
-    validate_point,
+    stack_points,
     zero_point,
 )
 
@@ -71,9 +71,9 @@ class BarycenterCert:
 
 def barycenter_objective(config: Config, z: Point) -> float:
     """E d(X, z)^p + E d(Y, z)^p as an exact finite sum."""
-    validate_point(config.space, z)
-    cx = pairwise_powered(config.space, config.X.atoms, [z], config.p)[:, 0]
-    cy = pairwise_powered(config.space, config.Y.atoms, [z], config.p)[:, 0]
+    zs = stack_points(config.space, [z])
+    cx = pairwise_powered(config.space, config.X.stack, zs, config.p)[:, 0]
+    cy = pairwise_powered(config.space, config.Y.stack, zs, config.p)[:, 0]
     return float(config.X.probs @ cx + config.Y.probs @ cy)
 
 
@@ -102,19 +102,17 @@ class _LqProblem:
 
     def __init__(self, config: Config):
         space = config.space
+        both = config.X.stack.concat(config.Y.stack)
         if isinstance(space, RealLine):
-            atoms = [np.array([complex(a)]) for a in
-                     list(config.X.atoms) + list(config.Y.atoms)]
+            self.atoms = both.array.astype(complex)[:, None]   # (A, 1)
             self.weights = np.ones(1)
             self.q = 2.0
             self._real_line = True
         else:
-            pts = list(config.X.atoms) + list(config.Y.atoms)
-            atoms = [a.entries for a in pts]
-            self.weights = pts[0].weights
+            self.atoms = both.array                            # (A, d)
+            self.weights = both.weights
             self.q = space.q
             self._real_line = False
-        self.atoms = np.stack(atoms)                       # (A, d)
         self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
         self.p = config.p
         self.space = space
@@ -184,28 +182,28 @@ class _NumericProblem:
         self.config = config
         self.space = config.space
         self._matrix = isinstance(config.space, Schatten)
-        pts = list(config.X.atoms) + list(config.Y.atoms)
-        self._template = pts[0]
-        self.atoms = pts
+        self.atoms = config.X.stack.concat(config.Y.stack)
         self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
 
     def flatten(self, pt: Point) -> np.ndarray:
         e = pt.entries.ravel()
         return np.concatenate([e.real, e.imag])
 
+    def _entries(self, z: np.ndarray) -> np.ndarray:
+        half = z.shape[-1] // 2
+        e = z[..., :half] + 1j * z[..., half:]
+        return e.reshape(e.shape[:-1] + self.atoms.array.shape[1:])
+
     def unflatten(self, z: np.ndarray) -> Point:
-        half = z.size // 2
-        e = z[:half] + 1j * z[half:]
         if self._matrix:
-            m = self._template.dim
-            return CMatrix(e.reshape(m, m))
-        return CVector(e, self._template.weights)
+            return CMatrix(self._entries(z))
+        return CVector(self._entries(z), self.atoms.weights)
 
     def project(self, z: np.ndarray) -> np.ndarray:
         return z
 
     def _values(self, zbatch: np.ndarray) -> np.ndarray:
-        pts = [self.unflatten(row) for row in zbatch]
+        pts = self.atoms.with_array(self._entries(zbatch))
         m = pairwise_powered(self.space, self.atoms, pts, self.config.p)
         return self.coeffs @ m
 
@@ -233,7 +231,7 @@ def _grad_norms(g: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _support_diameter(config: Config) -> float:
-    pts = list(config.X.atoms) + list(config.Y.atoms)
+    pts = config.X.stack.concat(config.Y.stack)
     d = pairwise_powered(config.space, pts, pts, 1.0)
     return float(d.max())
 

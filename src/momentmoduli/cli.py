@@ -8,9 +8,7 @@ maximization), ``sweep`` (verify over a parameter grid).
 
 Exit codes: 0 success, 1 tolerance breach, 2 input error.  ``inf`` is the
 spelling for an infinite exponent; numeric output uses 17 significant digits
-so every value round-trips exactly.  The MODULI_THREADS environment variable
-caps worker parallelism; the current implementation vectorizes instead of
-threading, so any cap is honored trivially.
+so every value round-trips exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .constructions import (
 )
 from .distributions import Config
 from .moduli import CSV_HEADER, all_reports
-from .spaces import INF, ParallelogramS1, RealLine, WeightedLq
+from .spaces import INF, ParallelogramS1, RealLine, SpaceMismatchError, WeightedLq
 
 
 def _fmt(x) -> str:
@@ -350,7 +348,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return _DISPATCH[ns.cmd](ns)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError, SpaceMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .spaces import (
+    AtomStack,
     Space,
     Point,
     atom_from_json,
@@ -23,7 +24,7 @@ from .spaces import (
     pairwise_powered,
     space_from_json,
     space_to_json,
-    validate_point,
+    stack_points,
 )
 
 __all__ = [
@@ -41,25 +42,36 @@ _PROB_SUM_TOL = 1e-12
 
 
 def _parse_probs(raw) -> np.ndarray:
+    if isinstance(raw, np.ndarray) and raw.dtype == float:
+        return raw.copy()
     vals = []
     for v in raw:
-        if isinstance(v, str):
-            vals.append(float(decimal.Decimal(v)))
-        else:
-            vals.append(float(v))
+        try:
+            vals.append(float(decimal.Decimal(v)) if isinstance(v, str) else float(v))
+        except (TypeError, decimal.InvalidOperation):
+            raise ValueError("probabilities are numbers or decimal strings; "
+                             f"got {v!r}") from None
     return np.asarray(vals, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteDist:
-    """Probability distribution with finitely many atoms in one space."""
+    """Probability distribution with finitely many atoms in one space.
+
+    ``atoms`` is a sequence of points or an :class:`AtomStack`.  Either way
+    the law keeps its atoms stacked in ``stack``, checked once here; the
+    moment functionals and the search work on that stack.  For a law built
+    from a stack, the point objects in ``atoms`` are made on first use.
+    """
 
     space: Space
     atoms: tuple
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
+        atoms = self.atoms
+        if not isinstance(atoms, AtomStack):
+            atoms = tuple(atoms)
         probs = _parse_probs(self.probs)
         if len(atoms) == 0:
             raise ValueError("a distribution needs at least one atom")
@@ -69,16 +81,27 @@ class FiniteDist:
             raise ValueError("probabilities must be nonnegative")
         if abs(float(probs.sum()) - 1.0) > _PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        for a in atoms:
-            validate_point(self.space, a)
+        stack = stack_points(self.space, atoms)
+        if atoms is stack:
+            object.__delattr__(self, "atoms")
+        else:
+            object.__setattr__(self, "atoms", atoms)
         probs.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "probs", probs)
 
+    def __getattr__(self, name: str):
+        # only reached for the atoms of a law built from a stack
+        if name != "atoms" or "stack" not in self.__dict__:
+            raise AttributeError(name)
+        atoms = self.stack.points()
+        object.__setattr__(self, "atoms", atoms)
+        return atoms
+
     @classmethod
-    def uniform(cls, space: Space, atoms: Sequence[Point]) -> "FiniteDist":
+    def uniform(cls, space: Space, atoms) -> "FiniteDist":
         n = len(atoms)
-        return cls(space, tuple(atoms), np.full(n, 1.0 / n))
+        return cls(space, atoms, np.full(n, 1.0 / n))
 
     @classmethod
     def delta(cls, space: Space, atom: Point) -> "FiniteDist":
@@ -92,13 +115,15 @@ class FiniteDist:
             "atoms": [atom_to_json(self.space, a) for a in self.atoms],
             "probs": [float(p) for p in self.probs],
         }
-        w = _common_weights(self)
+        w = self.stack.weights
         if w is not None and not np.all(w == 1.0):
             out["weights"] = [float(x) for x in w]
         return out
 
     @classmethod
     def from_json(cls, obj: dict, space: Optional[Space] = None) -> "FiniteDist":
+        if not isinstance(obj, dict):
+            raise ValueError("a distribution is a JSON object")
         if space is None:
             if "space" not in obj:
                 raise ValueError("distribution object needs a 'space' field")
@@ -108,16 +133,13 @@ class FiniteDist:
             raw_probs = obj["probs"]
         except KeyError as e:
             raise ValueError(f"distribution object needs field {e.args[0]!r}") from None
+        if not isinstance(raw_atoms, list) or not isinstance(raw_probs, list):
+            raise ValueError("a distribution's 'atoms' and 'probs' are lists")
         weights = None
         if obj.get("weights") is not None:
             weights = np.asarray(obj["weights"], dtype=float)
         atoms = tuple(atom_from_json(space, a, weights) for a in raw_atoms)
         return cls(space, atoms, _parse_probs(raw_probs))
-
-
-def _common_weights(dist: FiniteDist):
-    a = dist.atoms[0]
-    return getattr(a, "weights", None)
 
 
 @dataclass(frozen=True)
@@ -154,6 +176,8 @@ class Config:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Config":
+        if not isinstance(obj, dict):
+            raise ValueError("a configuration is a JSON object")
         for key in ("space", "X", "Y", "p"):
             if key not in obj:
                 raise ValueError(f"config object needs field {key!r}")
@@ -189,7 +213,7 @@ def cross_moment(x: FiniteDist, y: FiniteDist, p: float) -> float:
     """E d(X, Y)^p for independent X, Y as an exact double sum."""
     if x.space != y.space:
         raise ValueError("cross_moment requires a shared space")
-    m = pairwise_powered(x.space, x.atoms, y.atoms, p)
+    m = pairwise_powered(x.space, x.stack, y.stack, p)
     return float(x.probs @ m @ y.probs)
 
 
@@ -202,13 +226,13 @@ def mean(x: FiniteDist) -> Point:
     """Entrywise expectation; rejects nonlinear space kinds."""
     if not is_linear(x.space):
         raise TypeError(f"mean undefined on {type(x.space).__name__}")
-    return mean_point(x.space, x.atoms, x.probs)
+    return mean_point(x.space, x.stack, x.probs)
 
 
 def centered_moment(x: FiniteDist, p: float) -> float:
     """E d(X, E[X])^p."""
     m = mean(x)
-    col = pairwise_powered(x.space, x.atoms, [m], p)[:, 0]
+    col = pairwise_powered(x.space, x.stack, [m], p)[:, 0]
     return float(x.probs @ col)
 
 
@@ -216,7 +240,7 @@ def log_cross_moment(x: FiniteDist, y: FiniteDist) -> float:
     """E log d(X, Y); -inf when a coinciding atom pair carries positive mass."""
     if x.space != y.space:
         raise ValueError("log_cross_moment requires a shared space")
-    d = pairwise_powered(x.space, x.atoms, y.atoms, 1.0)
+    d = pairwise_powered(x.space, x.stack, y.stack, 1.0)
     joint = np.outer(x.probs, y.probs)
     live = joint > 0
     if np.any(live & (d == 0.0)):

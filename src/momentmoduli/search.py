@@ -30,12 +30,12 @@ from .moduli import (
 )
 from .spaces import (
     INF,
+    AtomStack,
     CVector,
     ParallelogramS1,
     RealLine,
     Space,
     WeightedLq,
-    scale_point,
 )
 
 __all__ = ["SearchSpec", "SearchResult", "run_search", "certify_ratio"]
@@ -103,9 +103,11 @@ def certify_ratio(config: Config, objective: str) -> float:
 
 
 def _try_ratio(config: Config, objective: str) -> Optional[float]:
+    """The ratio, or None for a degenerate or non-finite one; any other
+    error is a fault and propagates."""
     try:
         v = certify_ratio(config, objective)
-    except (DegenerateRatioError, ValueError, FloatingPointError):
+    except DegenerateRatioError:
         return None
     if not math.isfinite(v):
         return None
@@ -119,11 +121,11 @@ def _try_ratio(config: Config, objective: str) -> Optional[float]:
 def _random_dist(space: Space, rng: np.random.Generator, n_atoms: int,
                  dim: int) -> FiniteDist:
     if isinstance(space, RealLine):
-        atoms = [float(v) for v in rng.normal(size=n_atoms)]
+        rows = rng.normal(size=n_atoms)
     else:
-        atoms = [CVector(rng.normal(size=dim) + 1j * rng.normal(size=dim))
-                 for _ in range(n_atoms)]
-    return FiniteDist.uniform(space, atoms)
+        rows = np.stack([rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                         for _ in range(n_atoms)])
+    return FiniteDist.uniform(space, AtomStack(space, rows))
 
 
 def _warm_start(spec: SearchSpec) -> Optional[Config]:
@@ -172,19 +174,15 @@ def _initial_config(spec: SearchSpec, restart: int,
 # Proposal moves
 # --------------------------------------------------------------------------
 
-def _perturb_atom(space: Space, atom, rng: np.random.Generator, scale: float):
-    if isinstance(space, RealLine):
-        return float(atom + scale * rng.normal())
-    entries = atom.entries.copy()
-    ci = int(rng.integers(entries.size))
-    entries[ci] = entries[ci] + scale * (rng.normal() + 1j * rng.normal())
-    return CVector(entries, atom.weights)
-
-
-def _replace(dist: FiniteDist, idx: int, atom) -> FiniteDist:
-    atoms = list(dist.atoms)
-    atoms[idx] = atom
-    return FiniteDist(dist.space, tuple(atoms), dist.probs.copy())
+def _perturbed_row(stack: AtomStack, idx: int, rng: np.random.Generator,
+                   scale: float) -> np.ndarray:
+    """Row ``idx`` with one coordinate moved by a Gaussian step."""
+    row = stack.array[idx].copy()
+    if isinstance(stack.space, RealLine):
+        return row + scale * rng.normal()
+    ci = int(rng.integers(row.size))
+    row[ci] = row[ci] + scale * (rng.normal() + 1j * rng.normal())
+    return row
 
 
 def _propose(config: Config, spec: SearchSpec, rng: np.random.Generator,
@@ -192,36 +190,39 @@ def _propose(config: Config, spec: SearchSpec, rng: np.random.Generator,
     side_x = bool(rng.integers(2))
     dist = config.X if side_x else config.Y
     max_atoms = spec.max_atoms_x if side_x else spec.max_atoms_y
+    stack = dist.stack
+    n = len(stack)
     u = rng.random()
     if u < 0.70:
-        idx = int(rng.integers(len(dist.atoms)))
-        new = _replace(dist, idx, _perturb_atom(config.space, dist.atoms[idx],
-                                                rng, scale))
+        idx = int(rng.integers(n))
+        rows = stack.array.copy()
+        rows[idx] = _perturbed_row(stack, idx, rng, scale)
+        new = FiniteDist(dist.space, stack.with_array(rows), dist.probs)
     elif u < 0.90:
         kappa = min(max(50.0 / scale, 1.0), 1e6)
         conc = dist.probs * kappa + 0.5
         probs = rng.dirichlet(conc)
         if probs.sum() <= 0:
             return None
-        new = FiniteDist(dist.space, dist.atoms, probs / probs.sum())
+        new = FiniteDist(dist.space, stack, probs / probs.sum())
     elif u < 0.95:
-        if len(dist.atoms) >= max_atoms:
+        if n >= max_atoms:
             return None
-        idx = int(rng.integers(len(dist.atoms)))
-        atom = _perturb_atom(config.space, dist.atoms[idx], rng, max(scale, 0.1))
-        m = len(dist.atoms)
-        probs = np.append(dist.probs * (m / (m + 1.0)), 1.0 / (m + 1.0))
-        new = FiniteDist(dist.space, dist.atoms + (atom,), probs)
+        idx = int(rng.integers(n))
+        row = _perturbed_row(stack, idx, rng, max(scale, 0.1))
+        rows = np.concatenate([stack.array, row[np.newaxis]])
+        probs = np.append(dist.probs * (n / (n + 1.0)), 1.0 / (n + 1.0))
+        new = FiniteDist(dist.space, stack.with_array(rows), probs)
     else:
-        if len(dist.atoms) <= 1:
+        if n <= 1:
             return None
-        idx = int(rng.integers(len(dist.atoms)))
-        atoms = dist.atoms[:idx] + dist.atoms[idx + 1:]
+        idx = int(rng.integers(n))
         probs = np.delete(dist.probs, idx)
         total = probs.sum()
         if total <= 0:
             return None
-        new = FiniteDist(dist.space, atoms, probs / total)
+        rows = np.delete(stack.array, idx, axis=0)
+        new = FiniteDist(dist.space, stack.with_array(rows), probs / total)
     if side_x:
         return Config(config.space, new, config.Y, config.p, config.zero_sum)
     return Config(config.space, config.X, new, config.p, config.zero_sum)
@@ -237,8 +238,8 @@ def _normalize(config: Config) -> Config:
         return config
 
     def rescale(dist: FiniteDist) -> FiniteDist:
-        atoms = tuple(scale_point(config.space, a, lam) for a in dist.atoms)
-        return FiniteDist(dist.space, atoms, dist.probs.copy())
+        return FiniteDist(dist.space, dist.stack.with_array(lam * dist.stack.array),
+                          dist.probs)
 
     return Config(config.space, rescale(config.X), rescale(config.Y),
                   config.p, config.zero_sum)

@@ -18,18 +18,26 @@ space kinds:
 * ``BipartiteGraph(n)``  -- the complete bipartite graph K_{n,n} with its
   shortest-path metric (0 / 1 / 2).
 * ``RealLine``        -- scalars under the absolute value.
+
+The atoms of one distribution live in an :class:`AtomStack`: one array,
+checked once when it is built (``stack_points`` builds it from point
+objects).  ``pairwise_powered`` runs one batched kernel per space kind on two
+stacks; a plain sequence of points is checked and stacked first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 __all__ = [
     "SpaceMismatchError",
+    "AtomStack",
+    "stack_points",
     "CVector",
     "CMatrix",
     "GraphVertex",
@@ -407,51 +415,231 @@ def validate_point(space: Space, x: Point) -> None:
         raise SpaceMismatchError(f"unknown space kind {space!r}")
 
 
-def _shared_weights(atoms: Sequence[CVector]) -> np.ndarray:
-    w = atoms[0].weights
-    for a in atoms[1:]:
-        if a.weights is not w and not np.array_equal(a.weights, w):
-            raise ValueError("all atoms of one distribution must share weights")
-    return w
+def _base(space: Space) -> Space:
+    while isinstance(space, Snowflake):
+        space = space.base
+    return space
 
 
-def pairwise_powered(space: Space, xs: Sequence[Point], ys: Sequence[Point],
-                     p: float) -> np.ndarray:
+def _check_rows(space: Space, a: np.ndarray) -> None:
+    """Batched form of the per-point checks on the rows of a stack."""
+    if a.ndim == 0 or a.shape[0] == 0:
+        raise ValueError("a stack needs at least one atom")
+    if isinstance(space, BipartiteGraph):
+        if a.ndim != 2 or a.shape[1] != 2:
+            raise ValueError("BipartiteGraph atoms stack as (n, 2) rows (is_L, index)")
+        if not np.isin(a[:, 0], (0, 1)).all():
+            raise ValueError("side must be 'L' or 'R'")
+        if a[:, 1].min() < 0:
+            raise ValueError("index must be nonnegative")
+        if a[:, 1].max() >= space.n:
+            raise SpaceMismatchError("vertex index out of range")
+        return
+    if isinstance(space, RealLine):
+        if a.ndim != 1:
+            raise ValueError("RealLine atoms stack as an (n,) array")
+        if not np.isfinite(a).all():
+            raise SpaceMismatchError("RealLine points must be finite")
+        return
+    if isinstance(space, Schatten):
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
+            raise ValueError("Schatten atoms stack as an (n, m, m) array")
+        if not np.isfinite(a).all():
+            raise ValueError("CMatrix entries must be finite")
+        return
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ValueError("vector atoms stack as an (n, d) array with d >= 1")
+    if not np.isfinite(a).all():
+        raise ValueError("CVector entries must be finite")
+    if isinstance(space, ParallelogramS1) and a.shape[1] != 2 * space.n:
+        raise SpaceMismatchError("ParallelogramS1 points have length 2n")
+
+
+_STACK_DTYPES = {RealLine: float, BipartiteGraph: np.int64}
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_weights(d: int) -> np.ndarray:
+    # one shared object per dimension, so that laws with unit weights pass the
+    # shared-weights check of the kernel by identity
+    return _readonly(np.ones(d))
+
+
+def _check_compatible(xs: "AtomStack", ys: "AtomStack") -> None:
+    if xs.array.shape[1:] != ys.array.shape[1:]:
+        raise ValueError("X and Y atoms differ in dimension: "
+                         f"{xs.array.shape[1:]} vs {ys.array.shape[1:]}")
+    if xs.weights is not ys.weights and not np.array_equal(xs.weights, ys.weights):
+        raise ValueError("X and Y atoms must share weights")
+
+
+@dataclass(frozen=True, eq=False)
+class AtomStack:
+    """The atoms of one distribution as one array, checked once when built.
+
+    ``array`` holds one row per atom: ``(n, d)`` complex for WeightedLq and
+    ParallelogramS1, with the shared weight vector ``weights`` (default all
+    ones); ``(n, m, m)`` complex for Schatten; ``(n,)`` float for RealLine;
+    ``(n, 2)`` integer rows ``(side is "L", index)`` for BipartiteGraph.
+    ``space`` is the kind the rows were checked against (a Snowflake's base
+    space).  Both arrays are private read-only copies.
+    """
+
+    space: Space
+    array: np.ndarray
+    weights: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        space = _base(self.space)
+        if not isinstance(space, (WeightedLq, ParallelogramS1, Schatten, RealLine,
+                                  BipartiteGraph)):
+            raise SpaceMismatchError(f"unknown space kind {space!r}")
+        a = np.array(self.array, dtype=_STACK_DTYPES.get(type(space), complex))
+        _check_rows(space, a)
+        w = None
+        if isinstance(space, (WeightedLq, ParallelogramS1)):
+            d = a.shape[1]
+            w = _unit_weights(d)
+            if self.weights is not None:
+                given = np.array(self.weights, dtype=float)
+                if given.shape != (d,):
+                    raise ValueError("weights must match entries in length")
+                if not np.all(np.isfinite(given)) or np.any(given < 0):
+                    raise ValueError("weights must be finite and nonnegative")
+                if not np.all(given == 1.0):
+                    if isinstance(space, ParallelogramS1):
+                        raise SpaceMismatchError("ParallelogramS1 points carry unit weights")
+                    w = _readonly(given)
+        elif self.weights is not None:
+            raise ValueError(f"{type(space).__name__} atoms carry no weights")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "array", _readonly(a))
+        object.__setattr__(self, "weights", w)
+
+    def __len__(self) -> int:
+        return self.array.shape[0]
+
+    def with_array(self, array: np.ndarray) -> "AtomStack":
+        """A stack of new rows on this stack's space and weights.
+
+        The rows get the same checks as on construction; the weights, already
+        checked, are shared rather than checked again.
+        """
+        a = np.array(array, dtype=self.array.dtype)
+        if a.shape[1:] != self.array.shape[1:]:
+            raise ValueError("new rows must keep the atoms' dimension")
+        _check_rows(self.space, a)
+        out = object.__new__(AtomStack)
+        object.__setattr__(out, "space", self.space)
+        object.__setattr__(out, "array", _readonly(a))
+        object.__setattr__(out, "weights", self.weights)
+        return out
+
+    def concat(self, other: "AtomStack") -> "AtomStack":
+        """The rows of this stack followed by those of ``other``."""
+        if other.space != self.space:
+            raise SpaceMismatchError("stacks were checked on different spaces")
+        _check_compatible(self, other)
+        return self.with_array(np.concatenate([self.array, other.array]))
+
+    def points(self) -> tuple:
+        """The atoms as point objects."""
+        a = self.array
+        if isinstance(self.space, RealLine):
+            return tuple(a.tolist())
+        if isinstance(self.space, BipartiteGraph):
+            return tuple(GraphVertex("L" if is_l else "R", index)
+                         for is_l, index in a.tolist())
+        if isinstance(self.space, Schatten):
+            return tuple(CMatrix(m) for m in a)
+        return tuple(CVector(row, self.weights) for row in a)
+
+
+def stack_points(space: Space, pts) -> AtomStack:
+    """Check each point against ``space`` and stack them into one array.
+
+    The points must share one dimension and, for vector kinds, one weight
+    vector; that is checked here once rather than on every kernel call.  An
+    AtomStack already checked on ``space`` is returned as it is.
+    """
+    base = _base(space)
+    if isinstance(pts, AtomStack):
+        if pts.space is not base and pts.space != base:
+            raise SpaceMismatchError(
+                f"atoms were checked on {pts.space!r}, not on {base!r}")
+        return pts
+    if len(pts) == 0:
+        raise ValueError("a stack needs at least one atom")
+    for x in pts:
+        validate_point(base, x)
+    if isinstance(base, RealLine):
+        return AtomStack(base, np.array(pts, dtype=float))
+    if isinstance(base, BipartiteGraph):
+        return AtomStack(base, np.array([(v.side == "L", v.index) for v in pts]))
+    shape = pts[0].entries.shape
+    if any(x.entries.shape != shape for x in pts):
+        raise ValueError("all atoms of one distribution must share one dimension; "
+                         f"got shapes {sorted({x.entries.shape for x in pts})}")
+    array = np.stack([x.entries for x in pts])
+    if isinstance(base, Schatten):
+        return AtomStack(base, array)
+    w = pts[0].weights
+    if not (np.stack([x.weights for x in pts]) == w).all():
+        raise ValueError("all atoms of one distribution must share weights")
+    return AtomStack(base, array, w)
+
+
+def _lq_scaled(live: np.ndarray, w: np.ndarray, q: float, p: float) -> np.ndarray:
+    """d^p over rows of |differences| (zero at weightless coordinates), each
+    row scaled by its max so the q-th powers neither overflow nor vanish."""
+    m = live.max(axis=-1)
+    safe = np.where(m > 0, m, 1.0)
+    t = ((live / safe[:, None]) ** q * w).sum(axis=-1)
+    return m ** p * t ** (p / q)
+
+
+def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
     """Matrix of d(x, y)^p over xs x ys.
 
-    The exponent is fused into a single power call per pair, so a Snowflake
-    of exponent alpha delegates to the base space with exponent alpha * p.
+    ``xs`` and ``ys`` are :class:`AtomStack` values or plain sequences of
+    points, which are checked and stacked first.  The exponent is fused into
+    a single power call per pair, so a Snowflake of exponent alpha delegates
+    to the base space with exponent alpha * p.  On l_q (q < inf) the pairs
+    whose sum of q-th powers overflows, or underflows to zero while the
+    points differ, are recomputed scaled by the pair's largest coordinate
+    difference.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive")
     if isinstance(space, Snowflake):
         return pairwise_powered(space.base, xs, ys, space.alpha * p)
-    for x in xs:
-        validate_point(space, x)
-    for y in ys:
-        validate_point(space, y)
+    xs = stack_points(space, xs)
+    ys = stack_points(space, ys)
+    _check_compatible(xs, ys)
+    e, f = xs.array, ys.array
 
     if isinstance(space, RealLine):
-        xv = np.asarray(xs, dtype=float)
-        yv = np.asarray(ys, dtype=float)
-        return np.abs(xv[:, None] - yv[None, :]) ** p
+        return np.abs(e[:, None] - f[None, :]) ** p
 
     if isinstance(space, WeightedLq):
-        w = _shared_weights(list(xs) + list(ys))
-        e = np.stack([a.entries for a in xs])
-        f = np.stack([a.entries for a in ys])
+        w = xs.weights
         absd = np.abs(e[:, None, :] - f[None, :, :])
         if space.q == INF:
             mask = w > 0
             if not mask.any():
                 raise ValueError("sup norm needs at least one positive weight")
             return absd[:, :, mask].max(axis=-1) ** p
-        s = (absd ** space.q * w).sum(axis=-1)
-        return s ** (p / space.q)
+        terms = absd ** space.q * w
+        s = terms.sum(axis=-1)
+        out = s ** (p / space.q)
+        # cheap gate: no pair sum overflowed and no term underflowed to zero
+        if not s.max() < INF or np.count_nonzero(terms) != np.count_nonzero(absd):
+            live = np.where(w > 0, absd, 0.0)
+            bad = ~np.isfinite(s) | ((s == 0.0) & live.any(axis=-1))
+            out[bad] = _lq_scaled(live[bad], w, space.q, p)
+        return out
 
     if isinstance(space, ParallelogramS1):
-        e = np.stack([a.entries for a in xs])
-        f = np.stack([a.entries for a in ys])
         c = e[:, None, :] - f[None, :, :]
         r = np.real(c)
         im = np.imag(c)
@@ -463,26 +651,20 @@ def pairwise_powered(space: Space, xs: Sequence[Point], ys: Sequence[Point],
         return d ** p
 
     if isinstance(space, Schatten):
-        out = np.empty((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                if x == y:
+        out = np.empty((len(e), len(f)))
+        for i, x in enumerate(e):
+            for j, y in enumerate(f):
+                if np.array_equal(x, y):
                     out[i, j] = 0.0
                 else:
-                    out[i, j] = schatten_norm(x - y, space.q) ** p
+                    out[i, j] = schatten_norm(CMatrix(x - y), space.q) ** p
         return out
 
-    if isinstance(space, BipartiteGraph):
-        sides = np.array([v.side == "L" for v in xs])[:, None]
-        sides_y = np.array([v.side == "L" for v in ys])[None, :]
-        idx = np.array([v.index for v in xs])[:, None]
-        idx_y = np.array([v.index for v in ys])[None, :]
-        same_side = sides == sides_y
-        same_vertex = same_side & (idx == idx_y)
-        d = np.where(same_vertex, 0.0, np.where(same_side, 2.0, 1.0))
-        return d ** p
-
-    raise SpaceMismatchError(f"unknown space kind {space!r}")
+    # BipartiteGraph: rows are (side is "L", index)
+    same_side = e[:, None, 0] == f[None, :, 0]
+    same_vertex = same_side & (e[:, None, 1] == f[None, :, 1])
+    d = np.where(same_vertex, 0.0, np.where(same_side, 2.0, 1.0))
+    return d ** p
 
 
 def distance(space: Space, x: Point, y: Point) -> float:
@@ -499,17 +681,17 @@ def _require_linear(space: Space) -> None:
         raise SpaceMismatchError(f"{type(space).__name__} is not a linear space")
 
 
-def mean_point(space: Space, atoms: Sequence[Point], probs: np.ndarray) -> Point:
-    """Entrywise expectation sum_i p_i x_i."""
+def mean_point(space: Space, atoms, probs: np.ndarray) -> Point:
+    """Entrywise expectation sum_i p_i x_i over an AtomStack or a sequence of
+    points."""
     _require_linear(space)
+    stack = stack_points(space, atoms)
     if isinstance(space, RealLine):
-        return float(np.dot(probs, np.asarray(atoms, dtype=float)))
+        return float(np.dot(probs, stack.array))
+    acc = np.tensordot(probs, stack.array, axes=1)
     if isinstance(space, Schatten):
-        acc = np.tensordot(probs, np.stack([a.entries for a in atoms]), axes=1)
         return CMatrix(acc)
-    w = _shared_weights(atoms)  # type: ignore[arg-type]
-    acc = np.tensordot(probs, np.stack([a.entries for a in atoms]), axes=1)
-    return CVector(acc, w)
+    return CVector(acc, stack.weights)
 
 
 def zero_point(space: Space, like: Point) -> Point:
@@ -603,16 +785,35 @@ def atom_to_json(space: Space, x: Point):
     return [[float(v.real), float(v.imag)] for v in x.entries]
 
 
+def _complex_from_pairs(obj, ndim: int, what: str) -> np.ndarray:
+    """Complex array from nested ``[re, im]`` pairs, ``ndim`` levels deep."""
+    try:
+        a = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.ndim != ndim + 1 or a.shape[-1] != 2:
+        raise ValueError(f"{what} atoms are {'rows of ' * (ndim - 1)}lists of "
+                         f"[re, im] pairs; got {repr(obj)[:60]}")
+    # reinterpreting the (re, im) pairs keeps every bit, signed zeros included
+    return np.ascontiguousarray(a).view(complex)[..., 0]
+
+
 def atom_from_json(space: Space, obj, weights: Optional[np.ndarray] = None) -> Point:
+    """Parse one atom; a malformed atom raises ValueError."""
     if isinstance(space, Snowflake):
         return atom_from_json(space.base, obj, weights)
     if isinstance(space, RealLine):
-        return float(obj)
+        try:
+            return float(obj)
+        except TypeError:
+            raise ValueError(f"real_line atoms are numbers; got {obj!r}") from None
     if isinstance(space, BipartiteGraph):
-        side, index = obj
-        return GraphVertex(str(side), int(index))
+        try:
+            side, index = obj
+            index = int(index)
+        except (TypeError, ValueError):
+            raise ValueError(f"graph atoms are [side, index] pairs; got {obj!r}") from None
+        return GraphVertex(str(side), index)
     if isinstance(space, Schatten):
-        rows = [[complex(v[0], v[1]) for v in row] for row in obj]
-        return CMatrix(np.array(rows, dtype=complex))
-    entries = np.array([complex(v[0], v[1]) for v in obj], dtype=complex)
-    return CVector(entries, weights)
+        return CMatrix(_complex_from_pairs(obj, 2, "schatten"))
+    return CVector(_complex_from_pairs(obj, 1, "vector"), weights)

@@ -162,3 +162,40 @@ def test_module_invocation_subprocess(tmp_path):
         capture_output=True, text=True)
     assert r.returncode == 0
     assert "OK" in r.stdout
+
+
+def test_ratio_malformed_atom_exits_2_without_traceback(capsys, tmp_path):
+    path = tmp_path / "bad_atom.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "schatten", "q": 1.0},
+        "X": {"atoms": [[1, 0]], "probs": [1.0]},
+        "Y": {"atoms": [[[[0, 0]]]], "probs": [1.0]},
+        "p": 1.0}))
+    code, _, err = run_cli(["ratio", "--config", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_ratio_mismatched_atom_dimensions_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad_dims.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "weighted_lq", "q": 2.0},
+        "X": {"atoms": [[[1, 0]], [[1, 0], [0, 1]]], "probs": [0.5, 0.5]},
+        "Y": {"atoms": [[[0, 1]]], "probs": [1.0]},
+        "p": 1.0}))
+    code, _, err = run_cli(["ratio", "--config", str(path)], capsys)
+    assert code == 2
+    assert "share one dimension" in err
+
+
+def test_ratio_point_of_the_wrong_space_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad_vertex.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "bipartite_graph", "n": 2},
+        "X": {"atoms": [["L", 5]], "probs": [1.0]},
+        "Y": {"atoms": [["R", 0]], "probs": [1.0]},
+        "p": 1.0}))
+    code, _, err = run_cli(["ratio", "--config", str(path)], capsys)
+    assert code == 2
+    assert "out of range" in err

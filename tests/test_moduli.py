@@ -66,6 +66,22 @@ def test_roundness_degenerate_denominator_carries_moments():
     assert e.value.denominator == 0.0
 
 
+def test_roundness_of_tiny_laws_equals_that_of_the_laws_scaled_up():
+    # in l_2 the squares of differences near 1e-200 underflow to 0; the kernel
+    # rescales those pairs instead of reporting a vanishing denominator
+    sp = WeightedLq(2.0)
+
+    def config(scale):
+        x = FiniteDist.uniform(sp, [CVector([1e-200 * scale]),
+                                    CVector([-1e-200 * scale])])
+        y = FiniteDist.delta(sp, CVector([3e-200 * scale]))
+        return Config(sp, x, y, 1.0)
+
+    tiny = roundness_ratio(config(1.0)).value
+    assert tiny == pytest.approx(roundness_ratio(config(1e200)).value, rel=1e-15)
+    assert tiny == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
 def test_roundness_trivial_bound(rng):
     for _ in range(100):
         x = random_dist(RL, rng, int(rng.integers(1, 4)))

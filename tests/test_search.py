@@ -1,7 +1,10 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from momentmoduli import search
 from momentmoduli.constants import C_exponent
 from momentmoduli.search import SearchSpec, certify_ratio, run_search
 from momentmoduli.spaces import ParallelogramS1, RealLine, WeightedLq
@@ -124,3 +127,48 @@ def test_search_result_config_reverifies_from_json():
     cfg = Config.from_json(r.to_json()["best_config"])
     assert certify_ratio(cfg, "roundness") == pytest.approx(
         r.best_ratio, rel=1e-12)
+
+
+def test_search_propagates_faults_other_than_degenerate_ratios(monkeypatch):
+    def faulty(config):
+        raise ValueError("kernel fault")
+
+    monkeypatch.setattr(search, "roundness_ratio", faulty)
+    spec = SearchSpec(space=RealLine(), objective="roundness", p=1.0,
+                      budget=10, restarts=1, seed=0)
+    with pytest.raises(ValueError, match="kernel fault"):
+        run_search(spec)
+
+
+def _atom_bytes(dist):
+    return (b"".join(np.asarray(a.entries).tobytes() for a in dist.atoms)
+            + np.asarray(dist.probs).tobytes())
+
+
+# best ratio, number of trace entries, sha256 of repr(trace) and of the best
+# configuration's atom and probability bytes (X then Y), as computed before
+# the atoms were stacked; the stacked search must reproduce them bit for bit
+GOLDEN = [
+    (SearchSpec(space=WeightedLq(3.0), objective="roundness", p=1.5,
+                budget=150, restarts=2, seed=2024),
+     2.199850965306602, 29,
+     "d1247794e4b14968278f7e1662ee68bd39845d2198dfb66a78f1981b2c11f11a",
+     "66911aff66c37cb5800d0c6c8df81acf6026a82b5615e26e727816a9fc890d1b"),
+    (SearchSpec(space=ParallelogramS1(2), objective="mixture", p=1.0,
+                budget=150, restarts=1, seed=7),
+     1.5888989145676828, 30,
+     "2abbcd3a1c5ba33ab09ae4f5b82c316bf2460af09659428a761f570fedae0100",
+     "04c26b49986e50181762bc7e939dfd47ee84c2f49e7c3853b811c8b98d1f4910"),
+]
+
+
+@pytest.mark.parametrize("spec,ratio,n_trace,trace_sha,atoms_sha", GOLDEN,
+                         ids=["lq3-roundness", "s1par2-mixture"])
+def test_search_golden_values(spec, ratio, n_trace, trace_sha, atoms_sha):
+    r = run_search(spec)
+    assert r.best_ratio == ratio
+    assert len(r.trace) == n_trace
+    assert hashlib.sha256(repr(r.trace).encode()).hexdigest() == trace_sha
+    cfg = r.best_config
+    both = _atom_bytes(cfg.X) + _atom_bytes(cfg.Y)
+    assert hashlib.sha256(both).hexdigest() == atoms_sha

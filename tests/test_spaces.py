@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_point
+from momentmoduli.distributions import FiniteDist, cross_moment
 from momentmoduli.spaces import (
     INF,
+    AtomStack,
     BipartiteGraph,
     CMatrix,
     CVector,
@@ -27,6 +29,7 @@ from momentmoduli.spaces import (
     schatten_norm,
     space_from_json,
     space_to_json,
+    stack_points,
     validate_point,
 )
 
@@ -261,3 +264,101 @@ def test_eigensolver_edge_cases():
     h = u @ np.diag([2.0, 2.0, 2.0, -1.0, -1.0]) @ u.conj().T
     vals = np.sort(hermitian_eigenvalues(h))
     assert np.allclose(vals, [-1.0, -1.0, 2.0, 2.0, 2.0], atol=1e-10)
+
+
+# ---------------------------------------------------------------- stacks
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ALL_SPACES), st.integers(0, 2 ** 31 - 1),
+       st.integers(1, 4), st.integers(1, 4), st.floats(0.1, 4.0))
+def test_stacked_kernel_is_bitwise_the_point_list_kernel(space, seed, nx, ny, p):
+    rng = np.random.default_rng(seed)
+    dim = 2 if isinstance(space, Schatten) else 4
+    xs = [random_point(space, rng, dim) for _ in range(nx)]
+    ys = [random_point(space, rng, dim) for _ in range(ny)]
+    plain = pairwise_powered(space, xs, ys, p)
+    stacked = pairwise_powered(space, stack_points(space, xs), stack_points(space, ys), p)
+    assert np.array_equal(stacked, plain)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert pairwise_powered(space, [x], [y], p)[0, 0] == plain[i, j]
+    # a law rebuilt from its own stack has the same atoms and moments
+    probs = rng.dirichlet(np.ones(nx))
+    law = FiniteDist(space, tuple(xs), probs)
+    again = FiniteDist(space, law.stack, probs)
+    assert again.atoms == law.atoms
+    assert cross_moment(again, law, p) == cross_moment(law, law, p)
+
+
+def test_stack_checks_rows_on_construction_and_on_new_rows():
+    with pytest.raises(ValueError, match="finite"):
+        AtomStack(WeightedLq(2.0), np.array([[1.0, np.inf]]))
+    with pytest.raises(SpaceMismatchError):
+        AtomStack(RealLine(), np.array([0.0, np.nan]))
+    with pytest.raises(SpaceMismatchError, match="length 2n"):
+        AtomStack(ParallelogramS1(2), np.zeros((1, 3)))
+    with pytest.raises(SpaceMismatchError, match="unit weights"):
+        AtomStack(ParallelogramS1(1), np.zeros((1, 2)), np.array([1.0, 2.0]))
+    with pytest.raises(SpaceMismatchError, match="out of range"):
+        AtomStack(BipartiteGraph(2), np.array([[1, 2]]))
+    s = AtomStack(WeightedLq(2.0), np.zeros((2, 3)), np.array([1.0, 2.0, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        s.with_array(np.array([[0.0, np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="dimension"):
+        s.with_array(np.zeros((2, 4)))
+    t = s.with_array(np.ones((3, 3)))
+    assert t.weights is s.weights and len(t) == 3
+    assert not t.array.flags.writeable
+
+
+def test_mismatched_dimensions_within_one_law_fail_on_construction():
+    with pytest.raises(ValueError, match="share one dimension"):
+        FiniteDist.uniform(WeightedLq(2.0), [CVector([1, 2]), CVector([1, 2, 3])])
+    with pytest.raises(ValueError, match="share one dimension"):
+        FiniteDist.uniform(Schatten(1.0), [CMatrix(np.eye(2)), CMatrix(np.eye(3))])
+
+
+def test_mismatched_weights_within_one_law_fail_on_construction():
+    with pytest.raises(ValueError, match="share weights"):
+        FiniteDist.uniform(WeightedLq(2.0), [CVector([1, 2], [1.0, 1.0]),
+                                             CVector([1, 2], [1.0, 2.0])])
+
+
+def test_kernel_names_x_y_mismatch():
+    with pytest.raises(ValueError, match="differ in dimension"):
+        pairwise_powered(WeightedLq(2.0), [CVector([1, 2])], [CVector([1, 2, 3])], 1.0)
+    with pytest.raises(ValueError, match="X and Y atoms must share weights"):
+        pairwise_powered(WeightedLq(2.0), [CVector([1, 2], [1.0, 2.0])],
+                         [CVector([1, 2])], 1.0)
+
+
+# ------------------------------------------------ l_q over- and underflow
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_lq_large_q_does_not_overflow():
+    d = distance(WeightedLq(2000.0), CVector([3, 0]), CVector([0, 0]))
+    assert d == 3.0
+    # a weightless coordinate neither overflows nor counts
+    x = CVector([1e300, 3.0], [0.0, 1.0])
+    assert distance(WeightedLq(2.0), x, CVector([0, 0], [0.0, 1.0])) == 3.0
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_lq_tiny_difference_does_not_underflow(q):
+    assert distance(WeightedLq(q), CVector([1e-200]), CVector([0])) == 1e-200
+    d = distance(WeightedLq(q), CVector([3e-200, 4e-200]), CVector([0, 0]))
+    ref = 1e-200 * distance(WeightedLq(q), CVector([3, 4]), CVector([0, 0]))
+    assert d == pytest.approx(ref, rel=1e-15)
+
+
+def test_lq_ordinary_values_take_the_unscaled_path():
+    # the rescaled path is only for sums that overflow or vanish: on ordinary
+    # inputs the kernel is the plain weighted sum of q-th powers
+    rng = np.random.default_rng(3)
+    e = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    w = np.array([0.5, 1.0, 2.0, 0.0])
+    xs = [CVector(row, w) for row in e]
+    for q, p in ((1.0, 1.0), (2.0, 1.5), (7.0, 3.0)):
+        ref = ((np.abs(e[:, None, :] - e[None, :, :]) ** q * w).sum(axis=-1)) ** (p / q)
+        assert np.array_equal(pairwise_powered(WeightedLq(q), xs, xs, p), ref)
