@@ -17,9 +17,6 @@ from .spaces import (
     Snowflake,
     BipartiteGraph,
     RealLine,
-    lq_norm,
-    schatten_norm,
-    parallelogram_s1_distance,
     distance,
 )
 from .distributions import (

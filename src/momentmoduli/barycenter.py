@@ -19,25 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .distributions import Config, cross_moment, mean, mixture, self_moment
+from .distributions import Config, cross_moment, mean_row, mixture, self_moment
 from .spaces import (
     INF,
-    CMatrix,
-    CVector,
+    AtomStack,
     Point,
     RealLine,
-    Schatten,
     Space,
     WeightedLq,
     atom_to_json,
     is_linear,
     pairwise_powered,
     stack_points,
-    zero_point,
 )
 
 __all__ = ["BarycenterCert", "barycenter_objective", "minimize_barycenter",
@@ -69,9 +66,10 @@ class BarycenterCert:
         return out
 
 
-def barycenter_objective(config: Config, z: Point) -> float:
-    """E d(X, z)^p + E d(Y, z)^p as an exact finite sum."""
-    zs = stack_points(config.space, [z])
+def barycenter_objective(config: Config, z) -> float:
+    """E d(X, z)^p + E d(Y, z)^p as an exact finite sum; ``z`` is a point or
+    a one-row AtomStack."""
+    zs = stack_points(config.space, z if isinstance(z, AtomStack) else [z])
     cx = pairwise_powered(config.space, config.X.stack, zs, config.p)[:, 0]
     cy = pairwise_powered(config.space, config.Y.stack, zs, config.p)[:, 0]
     return float(config.X.probs @ cx + config.Y.probs @ cy)
@@ -103,30 +101,28 @@ class _LqProblem:
     def __init__(self, config: Config):
         space = config.space
         both = config.X.stack.concat(config.Y.stack)
-        if isinstance(space, RealLine):
-            self.atoms = both.array.astype(complex)[:, None]   # (A, 1)
+        self._real_line = isinstance(space, RealLine)
+        self.atoms = self.flat(both.array)                     # (A, d)
+        if self._real_line:
             self.weights = np.ones(1)
             self.q = 2.0
-            self._real_line = True
         else:
-            self.atoms = both.array                            # (A, d)
             self.weights = both.weights
             self.q = space.q
-            self._real_line = False
         self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
         self.p = config.p
         self.space = space
         self.zero_sum = config.zero_sum
 
-    def flatten(self, pt: Point) -> np.ndarray:
+    def flat(self, rows: np.ndarray) -> np.ndarray:
+        """Iterates (S, d) complex from stack rows."""
         if self._real_line:
-            return np.array([complex(pt)])
-        return np.asarray(pt.entries, dtype=complex)
+            return rows.astype(complex)[:, None]
+        return rows
 
-    def unflatten(self, z: np.ndarray) -> Point:
-        if self._real_line:
-            return float(z[0].real)
-        return CVector(z.copy(), self.weights)
+    def rows(self, z: np.ndarray) -> np.ndarray:
+        """Stack rows from iterates."""
+        return z[:, 0].real if self._real_line else z
 
     def project(self, z: np.ndarray) -> np.ndarray:
         if self.zero_sum:
@@ -181,29 +177,25 @@ class _NumericProblem:
                              "WeightedLq configurations")
         self.config = config
         self.space = config.space
-        self._matrix = isinstance(config.space, Schatten)
         self.atoms = config.X.stack.concat(config.Y.stack)
         self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
 
-    def flatten(self, pt: Point) -> np.ndarray:
-        e = pt.entries.ravel()
-        return np.concatenate([e.real, e.imag])
+    def flat(self, rows: np.ndarray) -> np.ndarray:
+        """Iterates (S, 2k) real from stack rows of k complex entries."""
+        e = rows.reshape(len(rows), -1)
+        return np.concatenate([e.real, e.imag], axis=-1)
 
-    def _entries(self, z: np.ndarray) -> np.ndarray:
+    def rows(self, z: np.ndarray) -> np.ndarray:
+        """Stack rows from iterates."""
         half = z.shape[-1] // 2
         e = z[..., :half] + 1j * z[..., half:]
         return e.reshape(e.shape[:-1] + self.atoms.array.shape[1:])
-
-    def unflatten(self, z: np.ndarray) -> Point:
-        if self._matrix:
-            return CMatrix(self._entries(z))
-        return CVector(self._entries(z), self.atoms.weights)
 
     def project(self, z: np.ndarray) -> np.ndarray:
         return z
 
     def _values(self, zbatch: np.ndarray) -> np.ndarray:
-        pts = self.atoms.with_array(self._entries(zbatch))
+        pts = self.atoms.with_array(self.rows(zbatch))
         m = pairwise_powered(self.space, self.atoms, pts, self.config.p)
         return self.coeffs @ m
 
@@ -258,19 +250,11 @@ def minimize_barycenter(config: Config,
     else:
         problem = _NumericProblem(config)
 
-    mix_mean = mean(mixture(config.X, config.Y))
-    labels: List[str] = []
-    start_pts: List[Point] = []
-    for i, a in enumerate(list(config.X.atoms) + list(config.Y.atoms)):
-        labels.append(f"atom:{i}")
-        start_pts.append(a)
-    labels.append("mixture_mean")
-    start_pts.append(mix_mean)
-    labels.append("zero")
-    start_pts.append(zero_point(config.space, start_pts[0]))
-
-    z = np.stack([problem.flatten(pt) for pt in start_pts])
-    z = problem.project(z)
+    both = config.X.stack.concat(config.Y.stack).array
+    starts = np.concatenate([both, mean_row(mixture(config.X, config.Y))[None],
+                             np.zeros_like(both[:1])])
+    labels = [f"atom:{i}" for i in range(len(both))] + ["mixture_mean", "zero"]
+    z = problem.project(problem.flat(starts))
     n_starts = z.shape[0]
 
     f0, _ = problem.value_and_subgrad(z)
@@ -308,11 +292,10 @@ def minimize_barycenter(config: Config,
             z_cur = z_best.copy()
 
     best_idx = int(np.argmin(f_best))
-    z_star = problem.unflatten(z_best[best_idx])
-    value = barycenter_objective(config, z_star)
+    z_star = config.X.stack.with_array(problem.rows(z_best[best_idx:best_idx + 1]))
     return BarycenterCert(
-        z_star=z_star,
-        value=value,
+        z_star=z_star.points()[0],
+        value=barycenter_objective(config, z_star),
         iterations=iterations,
         starts=n_starts,
         best_start=labels[best_idx],

@@ -11,11 +11,9 @@ piecewise agreement checks run at 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple
 
 __all__ = [
-    "PQ",
     "c_exponent",
     "C_exponent",
     "C_opt_exponent",
@@ -32,23 +30,13 @@ __all__ = [
 _TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PQ:
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (self.p >= 1.0):
-            raise ValueError("p must be >= 1")
-        if not (1.0 <= self.q < math.inf):
-            raise ValueError("q must be in [1, inf)")
-
-
-def _as_pq(p, q=None) -> Tuple[float, float]:
-    if isinstance(p, PQ):
-        return p.p, p.q
-    pq = PQ(float(p), float(q))
-    return pq.p, pq.q
+def _as_pq(p, q) -> Tuple[float, float]:
+    p, q = float(p), float(q)
+    if not (p >= 1.0):
+        raise ValueError("p must be >= 1")
+    if not (1.0 <= q < math.inf):
+        raise ValueError("q must be in [1, inf)")
+    return p, q
 
 
 def _agree(a: float, b: float) -> bool:
@@ -78,7 +66,7 @@ def _c_piecewise(p: float, q: float) -> List[float]:
     return vals
 
 
-def c_exponent(p, q=None) -> float:
+def c_exponent(p, q) -> float:
     """min{1, p-1, p/q, p(q-1)/q}; the four-range piecewise expansion is
     evaluated alongside and must agree to 1e-12."""
     p, q = _as_pq(p, q)
@@ -109,7 +97,7 @@ def _C_piecewise(p: float, q: float) -> List[float]:
     return vals
 
 
-def C_exponent(p, q=None) -> float:
+def C_exponent(p, q) -> float:
     """Proven roundness exponent: the five-range piecewise table.
 
     Each matched range's formula is a proven bound on its closed range, so
@@ -136,7 +124,7 @@ def _C_opt_piecewise(p: float, q: float) -> List[float]:
     return vals
 
 
-def C_opt_exponent(p, q=None) -> float:
+def C_opt_exponent(p, q) -> float:
     """Conjectured-sharp roundness exponent max{1, p-1, p(q-2)/q + 1}."""
     p, q = _as_pq(p, q)
     value = max(1.0, p - 1.0, p * (q - 2.0) / q + 1.0)
@@ -149,7 +137,7 @@ def C_opt_exponent(p, q=None) -> float:
     return value
 
 
-def theta_max(p, q=None) -> float:
+def theta_max(p, q) -> float:
     """2 min{1/p, 1 - 1/p, 1/q, 1 - 1/q}; satisfies c = p * theta_max / 2."""
     p, q = _as_pq(p, q)
     value = 2.0 * min(1.0 / p, 1.0 - 1.0 / p, 1.0 / q, 1.0 - 1.0 / q)
@@ -159,7 +147,7 @@ def theta_max(p, q=None) -> float:
     return value
 
 
-def snowflake_exponent(p, q=None) -> Tuple[float, float]:
+def snowflake_exponent(p, q) -> Tuple[float, float]:
     """Best roundness exponent reachable by re-embedding l_q into l_Q with the
     distance-power transform, minimized over Q >= q.
 
@@ -199,7 +187,7 @@ def metric_bound(p: float) -> float:
     return 2.0 ** p + 1.0
 
 
-def bm_bound(p, q=None) -> float:
+def bm_bound(p, q) -> float:
     """Upper bound for the barycentric and mixture moduli on L_q:
     min of the rescaled universal constant and the roundness/Jensen route."""
     p, q = _as_pq(p, q)

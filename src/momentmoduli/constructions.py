@@ -51,7 +51,6 @@ __all__ = [
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
-UPPER_BOUND_LIMIT = "upper_bound_limit"
 
 # ids whose check runs the barycenter solver (looser verification tolerance)
 _SOLVER_IDS = frozenset({"fn_inf", "fn_q", "two_point", "eps_atom"})

@@ -17,10 +17,11 @@ from .spaces import (
     AtomStack,
     Space,
     Point,
+    RealLine,
     atom_from_json,
     atom_to_json,
     is_linear,
-    mean_point,
+    json_number,
     pairwise_powered,
     space_from_json,
     space_to_json,
@@ -34,6 +35,7 @@ __all__ = [
     "cross_moment",
     "self_moment",
     "mean",
+    "mean_row",
     "centered_moment",
     "log_cross_moment",
 ]
@@ -184,7 +186,10 @@ class Config:
         space = space_from_json(obj["space"])
         x = FiniteDist.from_json(obj["X"], space=space)
         y = FiniteDist.from_json(obj["Y"], space=space)
-        return cls(space, x, y, float(obj["p"]), bool(obj.get("zero_sum", False)))
+        zero_sum = obj.get("zero_sum", False)
+        if not isinstance(zero_sum, bool):
+            raise ValueError(f"field 'zero_sum' must be true or false; got {zero_sum!r}")
+        return cls(space, x, y, json_number(obj, "p"), zero_sum)
 
 
 # --------------------------------------------------------------------------
@@ -222,11 +227,19 @@ def self_moment(x: FiniteDist, p: float) -> float:
     return cross_moment(x, x, p)
 
 
-def mean(x: FiniteDist) -> Point:
-    """Entrywise expectation; rejects nonlinear space kinds."""
+def mean_row(x: FiniteDist) -> np.ndarray:
+    """Entrywise expectation probs . stack.array, as one stack row; rejects
+    nonlinear space kinds."""
     if not is_linear(x.space):
         raise TypeError(f"mean undefined on {type(x.space).__name__}")
-    return mean_point(x.space, x.stack, x.probs)
+    if isinstance(x.space, RealLine):
+        return np.dot(x.probs, x.stack.array)
+    return np.tensordot(x.probs, x.stack.array, axes=1)
+
+
+def mean(x: FiniteDist) -> Point:
+    """Entrywise expectation as a point; rejects nonlinear space kinds."""
+    return x.stack.with_array(mean_row(x)[None]).points()[0]
 
 
 def centered_moment(x: FiniteDist, p: float) -> float:

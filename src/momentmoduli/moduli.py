@@ -38,7 +38,7 @@ from .distributions import (
     centered_moment,
     cross_moment,
     log_cross_moment,
-    mean,
+    mean_row,
     self_moment,
 )
 from .spaces import (
@@ -53,8 +53,6 @@ from .spaces import (
     Space,
     WeightedLq,
     is_linear,
-    scale_point,
-    shift_point,
     space_to_json,
 )
 
@@ -244,9 +242,8 @@ def mixture_ratio(config: Config) -> RatioReport:
     den = cross_moment(config.X, config.Y, config.p)
     if den <= 0.0:
         raise DegenerateRatioError("mixture denominator vanished", float("nan"), den)
-    z = scale_point(config.space,
-                    shift_point(config.space, mean(config.X), mean(config.Y)), 0.5)
-    num = barycenter_objective(config, z)
+    z = 0.5 * (mean_row(config.X) + mean_row(config.Y))
+    num = barycenter_objective(config, config.X.stack.with_array(z[None]))
     return _report("Mixture", num / den, _mixture_bound(config.space, config.p))
 
 

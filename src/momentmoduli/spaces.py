@@ -48,20 +48,13 @@ __all__ = [
     "BipartiteGraph",
     "RealLine",
     "Space",
-    "lq_norm",
-    "schatten_norm",
-    "hermitian_eigenvalues",
-    "lambda_area",
-    "parallelogram_s1_distance",
     "distance",
     "pairwise_powered",
     "is_linear",
     "validate_point",
-    "mean_point",
-    "scale_point",
-    "shift_point",
     "space_to_json",
     "space_from_json",
+    "json_number",
     "atom_to_json",
     "atom_from_json",
 ]
@@ -255,129 +248,6 @@ _LINEAR_KINDS = (WeightedLq, Schatten, ParallelogramS1, RealLine)
 def is_linear(space: Space) -> bool:
     """True for kinds supporting vector operations (means, barycenters)."""
     return isinstance(space, _LINEAR_KINDS)
-
-
-# --------------------------------------------------------------------------
-# Norms
-# --------------------------------------------------------------------------
-
-def lq_norm(x: CVector, q: float) -> float:
-    """Weighted l_q norm (sum_k w_k |x_k|^q)^(1/q); q = inf gives the max of
-    |x_k| over coordinates with positive weight."""
-    if not (q >= 1.0):
-        raise ValueError("lq_norm requires q >= 1")
-    if q == INF:
-        mask = x.weights > 0
-        if not mask.any():
-            raise ValueError("sup norm needs at least one positive weight")
-        return float(np.abs(x.entries[mask]).max())
-    s = float((np.abs(x.entries) ** q * x.weights).sum())
-    return s ** (1.0 / q)
-
-
-def hermitian_eigenvalues(h: np.ndarray, tol: float = 1e-12,
-                          max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius mass drops below
-    ``tol * max(1, ||h||_F)``.  Quadratic convergence makes ~6 sweeps typical
-    at desk scale (m <= 64).
-    """
-    a = np.array(h, dtype=complex)
-    m = a.shape[0]
-    if m == 1:
-        return np.array([a[0, 0].real])
-    scale = max(1.0, math.sqrt(float((np.abs(a) ** 2).sum())))
-    skip = 1e-300 * scale
-    for _ in range(max_sweeps):
-        m2 = np.abs(a) ** 2
-        np.fill_diagonal(m2, 0.0)  # sum only off-diagonal mass: no cancellation
-        if math.sqrt(float(m2.sum())) <= tol * scale:
-            break
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                b = a[i, j]
-                ab = abs(b)
-                if ab <= skip:
-                    continue
-                phase = b / ab
-                tau = (a[j, j].real - a[i, i].real) / (2.0 * ab)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_i = a[:, i].copy()
-                col_j = a[:, j].copy()
-                a[:, i] = c * col_i - s * np.conj(phase) * col_j
-                a[:, j] = s * phase * col_i + c * col_j
-                row_i = a[i, :].copy()
-                row_j = a[j, :].copy()
-                a[i, :] = c * row_i - s * phase * row_j
-                a[j, :] = s * np.conj(phase) * row_i + c * row_j
-    else:
-        raise RuntimeError("Jacobi eigensolver failed to converge")
-    return np.real(np.diag(a)).copy()
-
-
-def schatten_norm(a: CMatrix, q: float) -> float:
-    """Schatten-q norm: l_q norm of the singular values of ``a``.
-
-    Singular values come from the Hermitian eigendecomposition of a*a
-    computed by cyclic Jacobi; tiny negative eigenvalues from roundoff are
-    clamped to zero.
-    """
-    if not (1.0 <= q < INF):
-        raise ValueError("schatten_norm requires 1 <= q < inf")
-    if a.dim > 64:
-        raise ValueError("schatten_norm supports m <= 64")
-    m = a.entries
-    gram = m.conj().T @ m
-    eig = hermitian_eigenvalues(gram)
-    sigma = np.sqrt(np.clip(eig, 0.0, None))
-    return float((sigma ** q).sum() ** (1.0 / q))
-
-
-def lambda_area(c: np.ndarray, squared_inner: bool = True) -> float:
-    """Area of the parallelogram spanned by Re(c) and Im(c).
-
-    ``squared_inner=False`` uses an unsquared <Re, Im> term under the root
-    instead of <Re, Im>^2; the squared form is the parallelogram area and is
-    the default.
-    """
-    r = np.real(c)
-    im = np.imag(c)
-    rr = float((r * r).sum())
-    ii = float((im * im).sum())
-    ri = float((r * im).sum())
-    rad = rr * ii - (ri * ri if squared_inner else ri)
-    return math.sqrt(max(rad, 0.0))
-
-
-def parallelogram_s1_distance(a: CVector, b: CVector, n: Optional[int] = None,
-                              squared_inner: bool = True) -> float:
-    """Closed-form trace-norm distance on C^{2n} parallelogram configurations.
-
-    d(a, b) = (sqrt(|c|^2 + 2 L) + sqrt(|c|^2 - 2 L)) / 2 with c = a - b and
-    L = lambda_area(c).  The second radicand is clamped at zero when roundoff
-    drives it slightly negative (mathematically it is >= 0).
-    """
-    if a.dim != b.dim:
-        raise ValueError("mismatched lengths")
-    if n is not None and a.dim != 2 * n:
-        raise ValueError("points must have length 2n")
-    c = a.entries - b.entries
-    s = float((np.abs(c) ** 2).sum())
-    lam = lambda_area(c, squared_inner=squared_inner)
-    r2 = s - 2.0 * lam
-    if r2 < 0.0:
-        if r2 < -1e-12 * max(s, 1.0):
-            raise ArithmeticError("radicand fell below the clamping tolerance")
-        r2 = 0.0
-    return 0.5 * (math.sqrt(s + 2.0 * lam) + math.sqrt(r2))
 
 
 # --------------------------------------------------------------------------
@@ -589,13 +459,38 @@ def stack_points(space: Space, pts) -> AtomStack:
     return AtomStack(base, array, w)
 
 
-def _lq_scaled(live: np.ndarray, w: np.ndarray, q: float, p: float) -> np.ndarray:
-    """d^p over rows of |differences| (zero at weightless coordinates), each
-    row scaled by its max so the q-th powers neither overflow nor vanish."""
-    m = live.max(axis=-1)
-    safe = np.where(m > 0, m, 1.0)
-    t = ((live / safe[:, None]) ** q * w).sum(axis=-1)
-    return m ** p * t ** (p / q)
+def _lq_powered(absd: np.ndarray, w: np.ndarray, q: float, p: float) -> np.ndarray:
+    """(sum_k w_k absd_k^q)^(p/q) over the last axis of nonnegative ``absd``.
+
+    The rows whose sum overflows, or underflows to zero while a weighted entry
+    is nonzero, are recomputed scaled by their largest weighted entry.
+    """
+    terms = absd ** q * w
+    s = terms.sum(axis=-1)
+    out = s ** (p / q)
+    # cheap gate: no row sum overflowed and no term underflowed to zero
+    if not s.max() < INF or np.count_nonzero(terms) != np.count_nonzero(absd):
+        live = np.where(w > 0, absd, 0.0)
+        bad = ~np.isfinite(s) | ((s == 0.0) & live.any(axis=-1))
+        live = live[bad]
+        m = live.max(axis=-1)
+        t = ((live / np.where(m > 0, m, 1.0)[:, None]) ** q * w).sum(axis=-1)
+        out[bad] = m ** p * t ** (p / q)
+    return out
+
+
+def _parallelogram(c: np.ndarray):
+    """(sqrt(|c|^2 + 2 L) + sqrt(|c|^2 - 2 L)) / 2 over the last axis of ``c``,
+    with L the area of the parallelogram spanned by Re(c) and Im(c); also
+    returns |c|^2.  The second radicand, >= 0 in exact arithmetic, is clamped
+    at zero."""
+    r = np.real(c)
+    im = np.imag(c)
+    rr = (r * r).sum(axis=-1)
+    ii = (im * im).sum(axis=-1)
+    s = rr + ii
+    lam = np.sqrt(np.clip(rr * ii - (r * im).sum(axis=-1) ** 2, 0.0, None))
+    return 0.5 * (np.sqrt(s + 2.0 * lam) + np.sqrt(np.clip(s - 2.0 * lam, 0.0, None))), s
 
 
 def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
@@ -604,10 +499,12 @@ def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
     ``xs`` and ``ys`` are :class:`AtomStack` values or plain sequences of
     points, which are checked and stacked first.  The exponent is fused into
     a single power call per pair, so a Snowflake of exponent alpha delegates
-    to the base space with exponent alpha * p.  On l_q (q < inf) the pairs
+    to the base space with exponent alpha * p.  A Schatten-q norm is the l_q
+    norm of the singular values, so both kinds share one reduction: the pairs
     whose sum of q-th powers overflows, or underflows to zero while the
-    points differ, are recomputed scaled by the pair's largest coordinate
-    difference.
+    points differ, are recomputed scaled by the pair's largest entry.
+    ParallelogramS1 pairs whose squared length leaves [1e-100, 1e100] are
+    likewise recomputed scaled by their largest |c_k|.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive")
@@ -629,36 +526,24 @@ def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
             if not mask.any():
                 raise ValueError("sup norm needs at least one positive weight")
             return absd[:, :, mask].max(axis=-1) ** p
-        terms = absd ** space.q * w
-        s = terms.sum(axis=-1)
-        out = s ** (p / space.q)
-        # cheap gate: no pair sum overflowed and no term underflowed to zero
-        if not s.max() < INF or np.count_nonzero(terms) != np.count_nonzero(absd):
-            live = np.where(w > 0, absd, 0.0)
-            bad = ~np.isfinite(s) | ((s == 0.0) & live.any(axis=-1))
-            out[bad] = _lq_scaled(live[bad], w, space.q, p)
-        return out
+        return _lq_powered(absd, w, space.q, p)
+
+    if isinstance(space, Schatten):
+        sv = np.linalg.svd(e[:, None] - f[None, :], compute_uv=False)
+        return _lq_powered(sv, _unit_weights(sv.shape[-1]), space.q, p)
 
     if isinstance(space, ParallelogramS1):
         c = e[:, None, :] - f[None, :, :]
-        r = np.real(c)
-        im = np.imag(c)
-        s = (r * r).sum(axis=-1) + (im * im).sum(axis=-1)
-        rad = (r * r).sum(axis=-1) * (im * im).sum(axis=-1) - (r * im).sum(axis=-1) ** 2
-        lam = np.sqrt(np.clip(rad, 0.0, None))
-        r2 = np.clip(s - 2.0 * lam, 0.0, None)
-        d = 0.5 * (np.sqrt(s + 2.0 * lam) + np.sqrt(r2))
+        d, s = _parallelogram(c)
+        # rr * ii overflows above the band and underflows below it
+        bad = ~(s <= 1e100)
+        tiny = s < 1e-100
+        bad[tiny] = c[tiny].any(axis=-1)
+        if bad.any():
+            c = c[bad]
+            m = np.abs(c).max(axis=-1)
+            d[bad] = m * _parallelogram(c / m[:, None])[0]
         return d ** p
-
-    if isinstance(space, Schatten):
-        out = np.empty((len(e), len(f)))
-        for i, x in enumerate(e):
-            for j, y in enumerate(f):
-                if np.array_equal(x, y):
-                    out[i, j] = 0.0
-                else:
-                    out[i, j] = schatten_norm(CMatrix(x - y), space.q) ** p
-        return out
 
     # BipartiteGraph: rows are (side is "L", index)
     same_side = e[:, None, 0] == f[None, :, 0]
@@ -673,55 +558,6 @@ def distance(space: Space, x: Point, y: Point) -> float:
 
 
 # --------------------------------------------------------------------------
-# Vector-space helpers (linear kinds only)
-# --------------------------------------------------------------------------
-
-def _require_linear(space: Space) -> None:
-    if not is_linear(space):
-        raise SpaceMismatchError(f"{type(space).__name__} is not a linear space")
-
-
-def mean_point(space: Space, atoms, probs: np.ndarray) -> Point:
-    """Entrywise expectation sum_i p_i x_i over an AtomStack or a sequence of
-    points."""
-    _require_linear(space)
-    stack = stack_points(space, atoms)
-    if isinstance(space, RealLine):
-        return float(np.dot(probs, stack.array))
-    acc = np.tensordot(probs, stack.array, axes=1)
-    if isinstance(space, Schatten):
-        return CMatrix(acc)
-    return CVector(acc, stack.weights)
-
-
-def zero_point(space: Space, like: Point) -> Point:
-    _require_linear(space)
-    if isinstance(space, RealLine):
-        return 0.0
-    if isinstance(space, Schatten):
-        return CMatrix(np.zeros_like(like.entries))
-    return CVector(np.zeros_like(like.entries), like.weights)
-
-
-def scale_point(space: Space, x: Point, lam: float) -> Point:
-    _require_linear(space)
-    if isinstance(space, RealLine):
-        return float(lam * x)
-    if isinstance(space, Schatten):
-        return CMatrix(lam * x.entries)
-    return CVector(lam * x.entries, x.weights)
-
-
-def shift_point(space: Space, x: Point, delta: Point) -> Point:
-    _require_linear(space)
-    if isinstance(space, RealLine):
-        return float(x + delta)
-    if isinstance(space, Schatten):
-        return CMatrix(x.entries + delta.entries)
-    return CVector(x.entries + delta.entries, x.weights)
-
-
-# --------------------------------------------------------------------------
 # JSON forms
 # --------------------------------------------------------------------------
 
@@ -729,12 +565,24 @@ def _q_to_json(q: float):
     return "inf" if q == INF else q
 
 
-def _q_from_json(v) -> float:
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return INF
-        return float(v)
-    return float(v)
+def json_number(obj: dict, key: str) -> float:
+    """The numeric field ``key`` of a JSON object (``"inf"`` allowed);
+    anything else (a list, object, null, boolean or non-numeric string)
+    raises a ValueError that names the field."""
+    v = obj[key]
+    if not isinstance(v, bool):
+        try:
+            return float(v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"field {key!r} must be a number; got {v!r}")
+
+
+def _json_int(obj: dict, key: str) -> int:
+    x = json_number(obj, key)
+    if not x.is_integer():
+        raise ValueError(f"field {key!r} must be an integer; got {obj[key]!r}")
+    return int(x)
 
 
 def space_to_json(space: Space) -> dict:
@@ -759,15 +607,15 @@ def space_from_json(obj: dict) -> Space:
     except (TypeError, KeyError):
         raise ValueError("space object needs a 'kind' field") from None
     if kind == "weighted_lq":
-        return WeightedLq(_q_from_json(obj["q"]))
+        return WeightedLq(json_number(obj, "q"))
     if kind == "schatten":
-        return Schatten(float(obj["q"]))
+        return Schatten(json_number(obj, "q"))
     if kind == "parallelogram_s1":
-        return ParallelogramS1(int(obj["n"]))
+        return ParallelogramS1(_json_int(obj, "n"))
     if kind == "snowflake":
-        return Snowflake(space_from_json(obj["base"]), float(obj["alpha"]))
+        return Snowflake(space_from_json(obj["base"]), json_number(obj, "alpha"))
     if kind == "bipartite_graph":
-        return BipartiteGraph(int(obj["n"]))
+        return BipartiteGraph(_json_int(obj, "n"))
     if kind == "real_line":
         return RealLine()
     raise ValueError(f"unknown space kind {kind!r}")

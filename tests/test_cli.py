@@ -177,6 +177,36 @@ def test_ratio_malformed_atom_exits_2_without_traceback(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+_LQ_CONFIG = {
+    "space": {"kind": "weighted_lq", "q": 2.0},
+    "X": {"atoms": [[[1, 0]]], "probs": [1.0]},
+    "Y": {"atoms": [[[0, 1]]], "probs": [1.0]},
+    "p": 1.0,
+}
+
+
+@pytest.mark.parametrize("field,change", [
+    ("q", {"space": {"kind": "schatten", "q": [2]}}),
+    ("q", {"space": {"kind": "weighted_lq", "q": None}}),
+    ("n", {"space": {"kind": "parallelogram_s1", "n": {"n": 1}}}),
+    ("n", {"space": {"kind": "bipartite_graph", "n": 2.5}}),
+    ("alpha", {"space": {"kind": "snowflake", "alpha": [0.5],
+                         "base": {"kind": "weighted_lq", "q": 2.0}}}),
+    ("p", {"p": [1]}),
+    ("p", {"p": True}),
+    ("zero_sum", {"zero_sum": "false"}),
+], ids=["q-list", "q-null", "n-object", "n-fraction", "alpha-list", "p-list",
+        "p-bool", "zero_sum-string"])
+def test_ratio_malformed_scalar_field_exits_2_naming_it(capsys, tmp_path, field, change):
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps({**_LQ_CONFIG, **change}))
+    code, _, err = run_cli(["ratio", "--config", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert repr(field) in err
+    assert "Traceback" not in err
+
+
 def test_ratio_mismatched_atom_dimensions_exit_2(capsys, tmp_path):
     path = tmp_path / "bad_dims.json"
     path.write_text(json.dumps({

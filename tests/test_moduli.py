@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from momentmoduli.constructions import (
     make_schatten_parallelogram,
     make_two_point,
 )
-from momentmoduli.distributions import Config, FiniteDist, cross_moment
+from momentmoduli.distributions import Config, FiniteDist, cross_moment, mean
 from momentmoduli.moduli import (
     DegenerateRatioError,
     all_reports,
@@ -29,6 +30,7 @@ from momentmoduli.moduli import (
 from momentmoduli.spaces import (
     INF,
     CVector,
+    ParallelogramS1,
     RealLine,
     Schatten,
     CMatrix,
@@ -506,3 +508,80 @@ def test_minimize_barycenter_zero_sum_grid_oracle():
     assert cert.value == pytest.approx(oracle, rel=1e-6)
     # iterate stayed on the constraint line
     assert abs(cert.z_star.entries.sum()) < 1e-9
+
+
+# ------------------------------------------------ invariance under scaling
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("space", [WeightedLq(3.0), ParallelogramS1(2), Schatten(1.0),
+                                   Schatten(4.0), RL], ids=str)
+def test_ratios_are_unchanged_when_both_laws_are_scaled(space, p, scale):
+    # the ratios are homogeneous of degree 0: a kernel that over- or
+    # underflows at extreme magnitudes changes them
+    rng = np.random.default_rng(31)
+    x = random_dist(space, rng, 3, dim=2)
+    y = random_dist(space, rng, 2, dim=2)
+
+    def scaled(law):
+        return FiniteDist(space, law.stack.with_array(law.stack.array * scale), law.probs)
+
+    cfg = Config(space, x, y, p)
+    big = Config(space, scaled(x), scaled(y), p)
+    for ratio in (roundness_ratio, mixture_ratio):
+        assert ratio(big).value == pytest.approx(ratio(cfg).value, rel=1e-12)
+
+
+# ------------------------------------------------ golden array arithmetic
+
+def _golden_configs():
+    rng = np.random.default_rng(404)
+    w = np.array([0.5, 1.0, 2.0])
+    l2 = WeightedLq(2.0)
+    xa = [CVector(rng.normal(size=3) + 1j * rng.normal(size=3), w) for _ in range(3)]
+    ya = [CVector(rng.normal(size=3) + 1j * rng.normal(size=3), w) for _ in range(2)]
+    x = FiniteDist(l2, tuple(xa), rng.dirichlet(np.ones(3)))
+    y = FiniteDist(l2, tuple(ya), rng.dirichlet(np.ones(2)))
+    real = Config(RL, FiniteDist(RL, (-1.3, 0.2, 2.5), rng.dirichlet(np.ones(3))),
+                  FiniteDist(RL, (0.7, 3.1), rng.dirichlet(np.ones(2))), 1.5)
+    # at p = 2 on l_2 the minimizer is the mixture mean, the best start
+    return {"l2": Config(l2, x, y, 1.5), "l2-p2": Config(l2, x, y, 2.0),
+            "linf-fn3": make_fn(3, INF, 1.0).config, "realline": real}
+
+
+def _point_bytes(z) -> bytes:
+    return np.asarray(getattr(z, "entries", z), dtype=complex).tobytes()
+
+
+def _golden(cfg):
+    cert = minimize_barycenter(cfg)
+    means = _point_bytes(mean(cfg.X)) + _point_bytes(mean(cfg.Y))
+    return (hashlib.sha256(means).hexdigest(), mixture_ratio(cfg).value, cert.value,
+            hashlib.sha256(_point_bytes(cert.z_star)).hexdigest(), cert.best_start)
+
+
+# sha256 of both means' bytes, the mixture ratio, the barycenter value, sha256
+# of the minimizer's bytes and its best start, recorded before the means,
+# mixture midpoint and solver starts became array arithmetic on the stacks
+GOLDEN = {
+    "l2": ("dd332717e30361adc29e2b3fa11f53d46f9d9b75d90bc8becc4e0039198bb034",
+           1.0574473108869793, 5.5700112710381795,
+           "88c41ce1d95c9f01d2f3f7ddb622b7ec6ecae621d18292362e450812851a92ec", "atom:1"),
+    "l2-p2": ("dd332717e30361adc29e2b3fa11f53d46f9d9b75d90bc8becc4e0039198bb034",
+              0.9082637823613684, 8.798134695973356,
+              "7876e28984ed4c04f6ccd9b8bdb13e32130ca8eccecd76a535eadf1ef045abaf",
+              "mixture_mean"),
+    "linf-fn3": ("97b4b0a7821bd0fe8073fea3f5b39d803cff00b3a0fbc8bc2285256704d26232",
+                 2.333333333333333, 14.0,
+                 "d20e9e26fce142d048fc3eb0ba7b46558e0320ad5264ce1b02841af1ee4d79df", "atom:1"),
+    "realline": ("610d5b6aa76815cc29c6438addc9c370d98f2ef203f0e4bf34030eb9a720fcdb",
+                 1.2666003667394592, 2.1928131673455495,
+                 "f05437f8d4fddb734c833181ced72367d1e425f3a37341ca83dbcf9777f67881", "atom:1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_mean_mixture_and_barycenter_golden_values(name):
+    assert _golden(_golden_configs()[name]) == GOLDEN[name]

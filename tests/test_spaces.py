@@ -21,12 +21,7 @@ from momentmoduli.spaces import (
     SpaceMismatchError,
     WeightedLq,
     distance,
-    hermitian_eigenvalues,
-    lambda_area,
-    lq_norm,
     pairwise_powered,
-    parallelogram_s1_distance,
-    schatten_norm,
     space_from_json,
     space_to_json,
     stack_points,
@@ -44,6 +39,16 @@ ALL_SPACES = [
     BipartiteGraph(3),
     RealLine(),
 ]
+
+
+# norms as distances from zero, through the batched kernel
+
+def lq_norm(x, q):
+    return distance(WeightedLq(q), x, CVector.zeros(x.dim, x.weights))
+
+
+def schatten_norm(a, q):
+    return distance(Schatten(q), a, CMatrix(np.zeros_like(a.entries)))
 
 
 # ---------------------------------------------------------------- lq norm
@@ -107,9 +112,18 @@ def test_schatten_planted_singular_values():
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     a = CMatrix(u @ np.diag([1.0, 2.0, 0.0, 0.0]) @ v.conj().T)
-    # zero singular values go through sqrt of the Gram spectrum, which costs
-    # half the digits; 1e-7 is the honest tolerance for that route
-    assert schatten_norm(a, 1.0) == pytest.approx(3.0, abs=1e-7)
+    # the SVD takes no square root of the Gram spectrum, so zero singular
+    # values cost no digits
+    assert schatten_norm(a, 1.0) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_schatten_trace_norm_keeps_small_singular_values():
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    sigma = np.array([1.0, 1e-6, 1e-10, 1e-12])
+    a = CMatrix(u @ np.diag(sigma) @ v.conj().T)
+    assert schatten_norm(a, 1.0) == pytest.approx(sigma.sum(), rel=1e-14)
 
 
 def test_schatten_frobenius_matches():
@@ -120,22 +134,9 @@ def test_schatten_frobenius_matches():
         assert schatten_norm(CMatrix(x), 2.0) == pytest.approx(ref, rel=1e-10)
 
 
-def test_jacobi_matches_numpy_eigvalsh():
-    rng = np.random.default_rng(4)
-    for m in (2, 3, 7, 16):
-        x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        h = (x + x.conj().T) / 2
-        mine = np.sort(hermitian_eigenvalues(h))
-        ref = np.sort(np.linalg.eigvalsh(h))
-        assert np.max(np.abs(mine - ref)) < 1e-11 * max(1, np.abs(ref).max())
-
-
-def test_schatten_rejects_nonfinite_and_oversize():
+def test_schatten_rejects_nonfinite():
     with pytest.raises(ValueError):
         CMatrix(np.array([[np.nan, 0], [0, 1]]))
-    big = CMatrix(np.eye(65))
-    with pytest.raises(ValueError):
-        schatten_norm(big, 1.0)
 
 
 # ---------------------------------------------------------------- parallelogram
@@ -146,9 +147,10 @@ def test_parallelogram_basis_anchors():
     e0 = CVector.basis(0, dim)
     e1 = CVector.basis(1, dim)
     ie = CVector.basis(n, dim, scale=1j)
-    assert parallelogram_s1_distance(e0, e1, n) == pytest.approx(math.sqrt(2), rel=1e-14)
-    assert parallelogram_s1_distance(e0, ie, n) == pytest.approx(1.0, rel=1e-14)
-    assert parallelogram_s1_distance(e0, e0, n) == 0.0
+    sp = ParallelogramS1(n)
+    assert distance(sp, e0, e1) == pytest.approx(math.sqrt(2), rel=1e-14)
+    assert distance(sp, e0, ie) == pytest.approx(1.0, rel=1e-14)
+    assert distance(sp, e0, e0) == 0.0
 
 
 def test_parallelogram_sandwich_and_phase_invariance(rng):
@@ -156,27 +158,17 @@ def test_parallelogram_sandwich_and_phase_invariance(rng):
     for _ in range(300):
         a = random_point(ParallelogramS1(n), rng)
         b = random_point(ParallelogramS1(n), rng)
-        d = parallelogram_s1_distance(a, b, n)
+        d = distance(ParallelogramS1(n), a, b)
         l2 = float(np.linalg.norm(a.entries - b.entries))
         assert l2 / math.sqrt(2) - 1e-12 <= d <= l2 + 1e-12
         ia = CVector(1j * (a.entries - b.entries))
         zero = CVector.zeros(2 * n)
-        assert parallelogram_s1_distance(ia, zero, n) == pytest.approx(d, rel=1e-12)
+        assert distance(ParallelogramS1(n), ia, zero) == pytest.approx(d, rel=1e-12)
 
 
 def test_parallelogram_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        parallelogram_s1_distance(CVector.zeros(4), CVector.zeros(6))
-
-
-def test_lambda_area_variants_differ_off_axis():
-    # unsquared inner product under the root is the printed variant; the
-    # two forms agree whenever <Re, Im> is zero and disagree otherwise
-    c = np.array([1.0 + 0.5j, 0.3 - 0.2j])
-    assert lambda_area(c, squared_inner=True) != pytest.approx(
-        lambda_area(c, squared_inner=False), rel=1e-6)
-    orth = np.array([1.0, 1j])
-    assert lambda_area(orth, True) == pytest.approx(lambda_area(orth, False), rel=1e-14)
+    with pytest.raises(SpaceMismatchError, match="length 2n"):
+        distance(ParallelogramS1(2), CVector.zeros(4), CVector.zeros(6))
 
 
 # ---------------------------------------------------------------- dispatch
@@ -252,18 +244,6 @@ def test_construction_does_not_freeze_caller_arrays():
     m = np.zeros((2, 2), dtype=complex)
     CMatrix(m)
     m[0, 0] = 1.0
-
-
-def test_eigensolver_edge_cases():
-    assert np.allclose(hermitian_eigenvalues(np.zeros((4, 4), dtype=complex)), 0.0)
-    d = np.diag([3.0, -1.0, 2.0]).astype(complex)
-    assert np.allclose(np.sort(hermitian_eigenvalues(d)), [-1.0, 2.0, 3.0])
-    # repeated eigenvalues
-    rng = np.random.default_rng(6)
-    u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    h = u @ np.diag([2.0, 2.0, 2.0, -1.0, -1.0]) @ u.conj().T
-    vals = np.sort(hermitian_eigenvalues(h))
-    assert np.allclose(vals, [-1.0, -1.0, 2.0, 2.0, 2.0], atol=1e-10)
 
 
 # ---------------------------------------------------------------- stacks
@@ -362,3 +342,37 @@ def test_lq_ordinary_values_take_the_unscaled_path():
     for q, p in ((1.0, 1.0), (2.0, 1.5), (7.0, 3.0)):
         ref = ((np.abs(e[:, None, :] - e[None, :, :]) ** q * w).sum(axis=-1)) ** (p / q)
         assert np.array_equal(pairwise_powered(WeightedLq(q), xs, xs, p), ref)
+
+
+# ------------------------------ Schatten and parallelogram over- and underflow
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_schatten_extreme_magnitudes_neither_overflow_nor_vanish():
+    sp = Schatten(2.0)
+    assert distance(sp, CMatrix([[1e-200]]), CMatrix([[0]])) == 1e-200
+    assert distance(sp, CMatrix(np.diag([1e200, 0.0])), CMatrix(np.zeros((2, 2)))) == 1e200
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_parallelogram_extreme_magnitudes_neither_overflow_nor_vanish(scale):
+    sp = ParallelogramS1(1)
+    zero = CVector([0, 0])
+    assert distance(sp, CVector([scale, 0]), zero) == scale
+    d = distance(sp, CVector([3 * scale, 4j * scale]), zero)
+    assert d == pytest.approx(scale * distance(sp, CVector([3, 4j]), zero), rel=1e-15)
+
+
+def test_parallelogram_ordinary_values_take_the_unscaled_path():
+    # the rescaled path is only for squared lengths outside [1e-100, 1e100]:
+    # on ordinary inputs the kernel is the plain closed form
+    rng = np.random.default_rng(5)
+    e = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    c = e[:, None, :] - e[None, :, :]
+    rr = (c.real ** 2).sum(axis=-1)
+    ii = (c.imag ** 2).sum(axis=-1)
+    lam = np.sqrt(np.clip(rr * ii - (c.real * c.imag).sum(axis=-1) ** 2, 0.0, None))
+    ref = 0.5 * (np.sqrt(rr + ii + 2.0 * lam) + np.sqrt(np.clip(rr + ii - 2.0 * lam, 0.0, None)))
+    xs = [CVector(row) for row in e]
+    assert np.array_equal(pairwise_powered(ParallelogramS1(2), xs, xs, 1.5), ref ** 1.5)
