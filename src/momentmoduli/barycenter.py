@@ -13,13 +13,25 @@ three warm-restarted sub-schedules with geometrically shrinking s0 (1, 1/30,
 oscillation of the plain schedule otherwise stalls around 1e-4 relative,
 short of the 1e-6 solver target.  Runs are deterministic and the multi-start
 reduction is an index-tie-broken min, independent of execution order.
+
+Two cases separate across coordinates into problems with a known minimizer
+and skip the loop (``iterations`` 0, no diameter computed):
+
+* p = q = 2 (``WeightedLq(2)`` with any weights, ``RealLine`` at p = 2): the
+  mixture-mean start is the minimizer; with ``zero_sum`` only when all
+  weights are equal, where the projected mean is the constrained minimizer;
+* p = 1 with real atoms and no ``zero_sum`` (``RealLine``, or
+  ``WeightedLq(1)``): the coordinatewise lower weighted median, added as one
+  more start labelled ``"median"``.
+
+Every start is still evaluated and the same tie-broken min is taken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -109,10 +121,24 @@ class _LqProblem:
         else:
             self.weights = both.weights
             self.q = space.q
+        self.unit = bool(np.all(self.weights == 1.0))
         self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
         self.p = config.p
         self.space = space
         self.zero_sum = config.zero_sum
+
+    def closed_form(self) -> Optional[str]:
+        """``"mean"`` or ``"median"``, the start that minimizes the
+        objective in the two closed-form cases of the module docstring, or
+        None."""
+        if self.p == 2.0 and self.q == 2.0:
+            if not self.zero_sum or np.all(self.weights == self.weights[0]):
+                return "mean"
+        if (self.p == 1.0 and not self.zero_sum
+                and (self._real_line or self.q == 1.0)
+                and not np.any(self.atoms.imag)):
+            return "median"
+        return None
 
     def flat(self, rows: np.ndarray) -> np.ndarray:
         """Iterates (S, d) complex from stack rows."""
@@ -130,6 +156,8 @@ class _LqProblem:
         return z
 
     def value_and_subgrad(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Objective and subgradient at each start; called with divide and
+        invalid floating-point warnings off (see ``minimize_barycenter``)."""
         q, p, w = self.q, self.p, self.weights
         u = z[:, None, :] - self.atoms[None, :, :]         # (S, A, d)
         absu = np.abs(u)
@@ -142,21 +170,23 @@ class _LqProblem:
             u_at = np.take_along_axis(u, k[:, :, None], axis=-1)[:, :, 0]
             au = np.abs(u_at)
             phase = np.where(au > 0, u_at / np.where(au > 0, au, 1.0), 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                coef = np.where(d > 0, p * d ** (p - 1.0), 0.0) * self.coeffs
+            coef = np.where(d > 0, p * d ** (p - 1.0), 0.0) * self.coeffs
             g = np.zeros_like(z)
             s_idx = np.repeat(np.arange(z.shape[0]), k.shape[1])
             np.add.at(g, (s_idx, k.ravel()), (coef * phase).ravel())
             return f, g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sq = (absu ** q * w).sum(axis=-1)              # (S, A)
-            f = (sq ** (p / q)) @ self.coeffs
-            d = sq ** (1.0 / q)
-            coef = np.where(d > 0, p * d ** (p - q), 0.0) * self.coeffs
-            if q == 1.0:
-                core = np.where(absu > 0, u / np.where(absu > 0, absu, 1.0), 0.0) * w
-            else:
-                core = np.where(absu > 0, absu ** (q - 2.0), 0.0) * u * w
+        sq = (absu ** q if self.unit else absu ** q * w).sum(axis=-1)    # (S, A)
+        f = (sq ** (p / q)) @ self.coeffs
+        d = sq ** (1.0 / q)
+        coef = np.where(d > 0, p * d ** (p - q), 0.0) * self.coeffs
+        if q == 1.0:
+            core = np.where(absu > 0, u / np.where(absu > 0, absu, 1.0), 0.0)
+        elif q == 2.0:
+            core = u
+        else:
+            core = np.where(absu > 0, absu ** (q - 2.0), 0.0) * u
+        if not self.unit:
+            core = core * w
         g = (coef[:, :, None] * core).sum(axis=1)
         return f, g
 
@@ -212,10 +242,21 @@ class _NumericProblem:
         return f, g
 
 
-def _grad_norms(g: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(g):
-        return np.sqrt((np.abs(g) ** 2).sum(axis=-1))
-    return np.sqrt((g ** 2).sum(axis=-1))
+def _grad_norms(z: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Row norms of subgradients of the dtype of the iterates ``z``."""
+    if np.iscomplexobj(z):
+        return lambda g: np.sqrt((np.abs(g) ** 2).sum(axis=-1))
+    return lambda g: np.sqrt((g ** 2).sum(axis=-1))
+
+
+def _lower_weighted_median(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per coordinate of the real ``rows``, the first value in sorted order
+    whose cumulative coefficient reaches half the total."""
+    order = np.argsort(rows, axis=0, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=0)
+    cum = np.cumsum(coeffs[order], axis=0)
+    k = np.argmax(cum >= 0.5 * cum[-1], axis=0)
+    return np.take_along_axis(ranked, k[None], axis=0)[0]
 
 
 # --------------------------------------------------------------------------
@@ -228,6 +269,8 @@ def _support_diameter(config: Config) -> float:
     return float(d.max())
 
 
+# zero distances divide by zero in the subgradients; those entries are masked
+@np.errstate(divide="ignore", invalid="ignore")
 def minimize_barycenter(config: Config,
                         max_iters_per_start: int = 50_000) -> BarycenterCert:
     """Minimize E d(X, z)^p + E d(Y, z)^p over z (p >= 1, linear spaces).
@@ -238,6 +281,13 @@ def minimize_barycenter(config: Config,
     any start, and by convexity the iteration converges to the global
     minimum.  ``config.zero_sum`` restricts iterates to the zero-coordinate-
     sum hyperplane (Euclidean projection).
+
+    When the minimizer has a closed form (p = q = 2: the mixture mean; p = 1
+    with real atoms on the real line or l_1 without ``zero_sum``: the
+    coordinatewise weighted median, one more start) no step is taken:
+    ``iterations`` is 0, ``starts`` counts the evaluated starts (the median
+    included) and ``best_start`` labels the start of least objective, which
+    is the minimizer up to rounding.
     """
     if config.p < 1.0:
         raise ValueError("minimize_barycenter requires p >= 1; use "
@@ -247,23 +297,28 @@ def minimize_barycenter(config: Config,
 
     if isinstance(config.space, (WeightedLq, RealLine)):
         problem = _LqProblem(config)
+        closed = problem.closed_form()
     else:
         problem = _NumericProblem(config)
+        closed = None
 
     both = config.X.stack.concat(config.Y.stack).array
-    starts = np.concatenate([both, mean_row(mixture(config.X, config.Y))[None],
-                             np.zeros_like(both[:1])])
+    starts = [both, mean_row(mixture(config.X, config.Y))[None], np.zeros_like(both[:1])]
     labels = [f"atom:{i}" for i in range(len(both))] + ["mixture_mean", "zero"]
-    z = problem.project(problem.flat(starts))
+    if closed == "median":
+        starts.append(_lower_weighted_median(both.real, problem.coeffs)[None])
+        labels.append("median")
+    z = problem.project(problem.flat(np.concatenate(starts)))
     n_starts = z.shape[0]
 
     f0, _ = problem.value_and_subgrad(z)
     f_best = f0.copy()
     z_best = z.copy()
 
-    diam = _support_diameter(config)
+    diam = 0.0 if closed else _support_diameter(config)
     iterations = 0
     if diam > 0.0:
+        grad_norms = _grad_norms(z)
         g_best = float(f_best.min())
         z_cur = z.copy()
         for frac, fac in _STAGES:
@@ -285,7 +340,7 @@ def minimize_barycenter(config: Config,
                 iterations += 1
                 if k - last_progress > _STALL_WINDOW:
                     break
-                gn = _grad_norms(g)
+                gn = grad_norms(g)
                 step = s0 / math.sqrt(k)
                 safe = np.where(gn > 0, gn, 1.0)
                 z_cur = problem.project(z_cur - step * (g / safe[:, None]))

@@ -198,20 +198,26 @@ class Config:
 
 def mixture(x: FiniteDist, y: FiniteDist) -> FiniteDist:
     """Half-and-half mixture of two laws; coinciding atoms are merged by
-    exact equality only."""
+    exact equality only.
+
+    The atoms are X's rows, then each Y row not equal to an earlier row; a Y
+    row equal to an earlier one adds its mass to that row's, in Y order.
+    """
     if x.space != y.space:
         raise ValueError("mixture requires a shared space")
-    atoms = list(x.atoms)
-    probs = [0.5 * p for p in x.probs]
-    for atom, p in zip(y.atoms, y.probs):
-        for i, existing in enumerate(atoms):
-            if existing == atom:
-                probs[i] += 0.5 * p
-                break
-        else:
-            atoms.append(atom)
-            probs.append(0.5 * p)
-    return FiniteDist(x.space, tuple(atoms), np.asarray(probs))
+    rows = x.stack.concat(y.stack).array
+    nx, n = len(x.stack), len(rows)
+    equal = (rows[nx:, None] == rows[None]).reshape(n - nx, n, -1).all(axis=-1)
+    first = equal.argmax(axis=1)             # every row equals itself
+    new = first == np.arange(nx, n)
+    slot = np.arange(n)                      # each row's index in the mixture
+    y_slot = slot[nx:]
+    y_slot[new] = nx + np.arange(np.count_nonzero(new))
+    y_slot[~new] = slot[first[~new]]         # an X row or an earlier new Y row
+    probs = 0.5 * np.concatenate([x.probs, y.probs[new]])
+    np.add.at(probs, y_slot[~new], 0.5 * y.probs[~new])
+    kept = np.concatenate([np.arange(nx), nx + np.flatnonzero(new)])
+    return FiniteDist(x.space, x.stack.with_array(rows[kept]), probs)
 
 
 def cross_moment(x: FiniteDist, y: FiniteDist, p: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -21,9 +22,11 @@ from momentmoduli.constructions import make_bipartite, make_fn
 from momentmoduli.spaces import (
     INF,
     BipartiteGraph,
+    CMatrix,
     CVector,
     GraphVertex,
     RealLine,
+    Schatten,
     Snowflake,
     WeightedLq,
 )
@@ -77,6 +80,49 @@ def test_mixture_merges_on_exact_equality_only():
     assert np.allclose(z.probs, [0.75, 0.25])
     near = FiniteDist.delta(RL, 1e-15)
     assert len(mixture(x, near).atoms) == 3
+
+
+def _mixture_golden_laws(space):
+    # X = (a0, a1, a2); Y = (b0, a1, b0, b1, a1): a shared atom, a repeated
+    # Y atom, and a Y atom that repeats the shared one
+    rng = np.random.default_rng(606)
+    if isinstance(space, BipartiteGraph):
+        a = [GraphVertex("L", 0), GraphVertex("R", 1), GraphVertex("L", 2)]
+        b = [GraphVertex("R", 0), GraphVertex("R", 2)]
+    elif isinstance(space, RealLine):
+        a, b = list(rng.normal(size=3)), list(rng.normal(size=2))
+    elif isinstance(space, Schatten):
+        a = [CMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+             for _ in range(3)]
+        b = [CMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+             for _ in range(2)]
+    else:
+        w = np.array([0.5, 1.0, 2.0])
+        a = [CVector(rng.normal(size=3) + 1j * rng.normal(size=3), w) for _ in range(3)]
+        b = [CVector(rng.normal(size=3) + 1j * rng.normal(size=3), w) for _ in range(2)]
+    x = FiniteDist(space, tuple(a), rng.dirichlet(np.ones(3)))
+    y = FiniteDist(space, (b[0], a[1], b[0], b[1], a[1]), rng.dirichlet(np.ones(5)))
+    return x, y
+
+
+# atom count and sha256 of the merged law's atom bytes followed by its
+# probability bytes, recorded when mixture merged atoms by point equality
+MIXTURE_GOLDEN = {
+    "realline": (5, "0c4779fa60911b602aec5b26a8f68c163b0050527d76dd8cf18264693030e58c"),
+    "l2-weighted": (5, "e65de80341eee83cda7a0dec59d38e279b80faa546d53a3a87ca7bf2dede9dd6"),
+    "schatten": (5, "99a6a7248110b2a72eda1b5fc1c1564f19b9113c9aecb0ec287b18477fa5de96"),
+    "bipartite": (5, "210e6fcbcc9fd8cee2556c5822ff7c74d0187118688af33c239677f695245621"),
+}
+
+
+@pytest.mark.parametrize("name,space", [
+    ("realline", RL), ("l2-weighted", WeightedLq(2.0)), ("schatten", Schatten(1.0)),
+    ("bipartite", BipartiteGraph(3)),
+])
+def test_mixture_golden_atoms_and_probabilities(name, space):
+    z = mixture(*_mixture_golden_laws(space))
+    digest = hashlib.sha256(z.stack.array.tobytes() + z.probs.tobytes()).hexdigest()
+    assert (len(z.stack), digest) == MIXTURE_GOLDEN[name]
 
 
 def test_mixture_space_mismatch():

@@ -14,7 +14,7 @@ from momentmoduli.constructions import (
     make_schatten_parallelogram,
     make_two_point,
 )
-from momentmoduli.distributions import Config, FiniteDist, cross_moment, mean
+from momentmoduli.distributions import Config, FiniteDist, cross_moment, mean, mixture
 from momentmoduli.moduli import (
     DegenerateRatioError,
     all_reports,
@@ -534,6 +534,76 @@ def test_ratios_are_unchanged_when_both_laws_are_scaled(space, p, scale):
         assert ratio(big).value == pytest.approx(ratio(cfg).value, rel=1e-12)
 
 
+# ------------------------------------------------ closed-form barycenters
+
+def _real_lq_config(q, p, rng, dirichlet, dim=6, nx=4, ny=5, zero_sum=False):
+    sp = WeightedLq(q)
+    xs = [CVector(rng.normal(size=dim).astype(complex)) for _ in range(nx)]
+    ys = [CVector(rng.normal(size=dim).astype(complex)) for _ in range(ny)]
+    if dirichlet:
+        xp, yp = rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))
+    else:
+        xp, yp = np.full(nx, 1.0 / nx), np.full(ny, 1.0 / ny)
+    return Config(sp, FiniteDist(sp, tuple(xs), xp), FiniteDist(sp, tuple(ys), yp),
+                  p, zero_sum)
+
+
+def _l1_minimum(cfg):
+    # min over z of sum_i c_i sum_k |z_k - a_ik|: per coordinate a convex
+    # piecewise-linear function whose minimum is attained at an atom coordinate
+    atoms = np.concatenate([cfg.X.stack.array, cfg.Y.stack.array]).real
+    coeffs = np.concatenate([cfg.X.probs, cfg.Y.probs])
+    return sum(min(float(coeffs @ np.abs(t - col)) for t in col) for col in atoms.T)
+
+
+@pytest.mark.parametrize("dirichlet", [False, True], ids=["uniform", "dirichlet"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimize_barycenter_real_l1_is_the_weighted_median(seed, dirichlet):
+    cfg = _real_lq_config(1.0, 1.0, np.random.default_rng([seed, 77]), dirichlet)
+    cert = minimize_barycenter(cfg)
+    assert cert.value == pytest.approx(_l1_minimum(cfg), rel=1e-12)
+    assert cert.value == barycenter_objective(cfg, cert.z_star)
+    assert cert.iterations == 0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_minimize_barycenter_real_line_closed_forms(p, rng):
+    for _ in range(5):
+        x = random_dist(RL, rng, int(rng.integers(1, 5)))
+        y = random_dist(RL, rng, int(rng.integers(1, 5)))
+        cfg = Config(RL, x, y, p)
+        cert = minimize_barycenter(cfg)
+        assert cert.iterations == 0
+        if p == 2.0:
+            assert cert.best_start == "mixture_mean"
+            assert cert.z_star == mean(mixture(x, y))
+        else:
+            best = min(barycenter_objective(cfg, a) for a in x.atoms + y.atoms)
+            assert cert.value == pytest.approx(best, rel=1e-12)
+
+
+def test_minimize_barycenter_l2_p2_returns_the_mixture_mean():
+    cfg = _golden_configs()["l2-p2"]
+    cert = minimize_barycenter(cfg)
+    assert cert.iterations == 0
+    assert cert.best_start == "mixture_mean"
+    assert cert.z_star == mean(mixture(cfg.X, cfg.Y))
+
+
+def test_minimize_barycenter_iterates_without_a_closed_form():
+    rng = np.random.default_rng(88)
+    weighted = _golden_configs()["l2-p2"]
+    cases = [
+        _real_lq_config(1.0, 1.0, rng, True, dim=3, zero_sum=True),
+        Config(WeightedLq(1.0), random_dist(WeightedLq(1.0), rng, 3, dim=3),
+               random_dist(WeightedLq(1.0), rng, 2, dim=3), 1.0),
+        Config(RL, random_dist(RL, rng, 3), random_dist(RL, rng, 2), 1.5),
+        Config(weighted.space, weighted.X, weighted.Y, 2.0, zero_sum=True),
+    ]
+    for cfg in cases:
+        assert minimize_barycenter(cfg).iterations > 0
+
+
 # ------------------------------------------------ golden array arithmetic
 
 def _golden_configs():
@@ -546,9 +616,21 @@ def _golden_configs():
     y = FiniteDist(l2, tuple(ya), rng.dirichlet(np.ones(2)))
     real = Config(RL, FiniteDist(RL, (-1.3, 0.2, 2.5), rng.dirichlet(np.ones(3))),
                   FiniteDist(RL, (0.7, 3.1), rng.dirichlet(np.ones(2))), 1.5)
+    # unit-weight solves, which take the loop's unit-weight fast path
+    rng = np.random.default_rng(405)
+    cx = [CVector(rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(3)]
+    cy = [CVector(rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(2)]
+    l2_unit = Config(l2, FiniteDist(l2, tuple(cx), rng.dirichlet(np.ones(3))),
+                     FiniteDist(l2, tuple(cy), rng.dirichlet(np.ones(2))), 1.0)
+    l3 = WeightedLq(3.0)
+    rx = [CVector(rng.normal(size=3).astype(complex)) for _ in range(3)]
+    ry = [CVector(rng.normal(size=3).astype(complex)) for _ in range(2)]
+    l3_real = Config(l3, FiniteDist(l3, tuple(rx), rng.dirichlet(np.ones(3))),
+                     FiniteDist(l3, tuple(ry), rng.dirichlet(np.ones(2))), 3.0)
     # at p = 2 on l_2 the minimizer is the mixture mean, the best start
     return {"l2": Config(l2, x, y, 1.5), "l2-p2": Config(l2, x, y, 2.0),
-            "linf-fn3": make_fn(3, INF, 1.0).config, "realline": real}
+            "linf-fn3": make_fn(3, INF, 1.0).config, "realline": real,
+            "l2-unit-p1": l2_unit, "l3-real-p3": l3_real}
 
 
 def _point_bytes(z) -> bytes:
@@ -579,6 +661,15 @@ GOLDEN = {
     "realline": ("610d5b6aa76815cc29c6438addc9c370d98f2ef203f0e4bf34030eb9a720fcdb",
                  1.2666003667394592, 2.1928131673455495,
                  "f05437f8d4fddb734c833181ced72367d1e425f3a37341ca83dbcf9777f67881", "atom:1"),
+    # recorded before the solver step skipped unit weights and the q = 2 mask
+    "l2-unit-p1": ("2146370dfc209b1d884a13f2cd426b84e4465ea7ee04d83ff4119fc3843eba26",
+                   1.2273755297842783, 3.5863471522827006,
+                   "397799c8f4af67e58e303b4e83509f9ab71efe9ac4ab7eaef28a830af2399c08",
+                   "atom:4"),
+    "l3-real-p3": ("e69dd8ec9ffa824c4013218a023e4356eacb388fcbc2afc7456123f3f8e792b7",
+                   0.5641778513583867, 9.116564485482515,
+                   "260adff51fbd44a1c023ad26db680044dc05b0d80406c9fd24b5f452639c3fe5",
+                   "atom:2"),
 }
 
 
