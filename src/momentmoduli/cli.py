@@ -54,6 +54,20 @@ def _parse_list(s: str) -> List[float]:
     return [_parse_real(tok) for tok in s.split(",") if tok.strip()]
 
 
+def _parse_ints(s: str, flag: str) -> List[int]:
+    vals = _parse_list(s)
+    if not all(v.is_integer() for v in vals):       # inf and nan are not
+        raise ValueError(f"{flag} takes integers; got {s!r}")
+    return [int(v) for v in vals]
+
+
+def _positive(flag: str, value):
+    """``value`` unless it is given and not a positive finite number."""
+    if value is not None and not (0 < value < INF):
+        raise ValueError(f"{flag} must be a positive finite number; got {value!r}")
+    return value
+
+
 def _write_csv(path: Optional[str], header: Sequence[str], rows) -> None:
     rows = list(rows)
     out = sys.stdout if path is None else open(path, "w", newline="")
@@ -70,8 +84,9 @@ def _write_csv(path: Optional[str], header: Sequence[str], rows) -> None:
 # ----------------------------- constants -----------------------------
 
 def _cmd_constants(ns: argparse.Namespace) -> int:
-    pstep = ns.pstep if ns.pstep is not None else ns.step
-    qstep = ns.qstep if ns.qstep is not None else ns.step
+    step = _positive("--step", ns.step)
+    pstep = step if ns.pstep is None else _positive("--pstep", ns.pstep)
+    qstep = step if ns.qstep is None else _positive("--qstep", ns.qstep)
     ps = np.arange(ns.pmin, ns.pmax + 1e-12, pstep)
     qs = np.arange(ns.qmin, ns.qmax + 1e-12, qstep)
     rows = constants.constants_grid((float(p) for p in ps),
@@ -165,7 +180,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     ps = _parse_list(ns.p)
-    nsv = [int(v) for v in _parse_list(ns.n)] if ns.n else [None]
+    nsv = _parse_ints(ns.n, "--n") if ns.n else [None]
     qs = _parse_list(ns.q) if ns.q else [None]
     epss = _parse_list(ns.eps) if ns.eps else [None]
     rows = []
@@ -198,27 +213,32 @@ _CHECKS = ("alpha", "beta", "subadditivity", "laplace", "gaussian",
            "cosine", "hilbert")
 
 
+def _given(**kwargs) -> dict:
+    """The given keyword arguments; the others keep the callee's defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
 def _cmd_check(ns: argparse.Namespace) -> int:
     name = ns.name
-    grid = ns.grid
-    seeds = ns.seeds
+    grid = _positive("--grid", ns.grid)
+    seeds = _positive("--seeds", ns.seeds)
+    tol = ns.tolerance
+    if tol is not None and not (tol >= 0):
+        raise ValueError(f"--tolerance must be nonnegative; got {tol!r}")
     if name == "alpha":
-        violations = scalar_checks.run_alpha_grid(
-            grid=grid or 400, tol=ns.tolerance or 1e-10)
+        violations = scalar_checks.run_alpha_grid(**_given(grid=grid, tol=tol))
     elif name == "beta":
-        violations = scalar_checks.run_beta_scan(grid=grid or 200)
+        violations = scalar_checks.run_beta_scan(**_given(grid=grid))
     elif name == "subadditivity":
-        violations = scalar_checks.run_subadditivity_suite(seeds=seeds or 1000)
+        violations = scalar_checks.run_subadditivity_suite(**_given(seeds=seeds))
     elif name == "laplace":
-        violations = scalar_checks.run_laplace_suite(
-            n_dists=seeds or 20, tol=ns.tolerance or 1e-6)
+        violations = scalar_checks.run_laplace_suite(**_given(n_dists=seeds, tol=tol))
     elif name == "gaussian":
-        violations = scalar_checks.run_smoothing_suite(seeds=seeds or 1000)
+        violations = scalar_checks.run_smoothing_suite(**_given(seeds=seeds))
     elif name == "cosine":
-        violations = scalar_checks.run_cosine_suite(
-            n_alphas=grid or 50, tol=ns.tolerance or 1e-6)
+        violations = scalar_checks.run_cosine_suite(**_given(n_alphas=grid, tol=tol))
     elif name == "hilbert":
-        violations = scalar_checks.run_hilbert_suite(seeds=seeds or 1000)
+        violations = scalar_checks.run_hilbert_suite(**_given(seeds=seeds))
     else:
         raise ValueError(f"unknown check {name!r}")
     keys: List[str] = sorted({k for v in violations for k in v})
@@ -350,6 +370,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _DISPATCH[ns.cmd](ns)
     except (ValueError, KeyError, OSError, SpaceMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OverflowError as e:
+        # an exponent or magnitude whose constants leave the float range
+        print(f"error: a value leaves the floating-point range: {e}", file=sys.stderr)
         return 2
 
 

@@ -24,15 +24,7 @@ from .moduli import (
     minimize_barycenter,
     roundness_ratio,
 )
-from .spaces import (
-    INF,
-    BipartiteGraph,
-    CVector,
-    GraphVertex,
-    ParallelogramS1,
-    RealLine,
-    WeightedLq,
-)
+from .spaces import INF, AtomStack, BipartiteGraph, ParallelogramS1, RealLine, WeightedLq
 
 __all__ = [
     "NamedConstruction",
@@ -98,22 +90,19 @@ def make_fn(n: int, q: float, p: float) -> NamedConstruction:
         raise ValueError("make_fn requires q >= 1")
     if p < 1.0:
         raise ValueError("make_fn requires p >= 1")
-    a_atoms = []
-    b_atoms = []
-    for j in range(n):
-        row = [-(n + 2)] * n + [n - 2] * n
-        row[j] = 3 * n - 2
-        assert sum(row) == 0
-        a_atoms.append(CVector(np.array(row, dtype=complex)))
-        row = [n - 2] * n + [-(n + 2)] * n
-        row[n + j] = 3 * n - 2
-        assert sum(row) == 0
-        b_atoms.append(CVector(np.array(row, dtype=complex)))
+    j = np.arange(n)
+    half = np.repeat([-(n + 2), n - 2], n)
+    a = np.tile(half, (n, 1))
+    a[j, j] = 3 * n - 2
+    b = np.tile(half[::-1], (n, 1))
+    b[j, n + j] = 3 * n - 2
+    assert not a.sum(axis=1).any() and not b.sum(axis=1).any()
     space = WeightedLq(q)
+    xs = AtomStack(space, a)
     config = Config(
         space,
-        FiniteDist.uniform(space, a_atoms),
-        FiniteDist.uniform(space, b_atoms),
+        FiniteDist.uniform(space, xs),
+        FiniteDist.uniform(space, xs.with_array(b)),
         p,
         zero_sum=True,
     )
@@ -141,8 +130,9 @@ def make_bipartite(n: int, p: float) -> NamedConstruction:
     if p < 1.0:
         raise ValueError("make_bipartite requires p >= 1")
     space = BipartiteGraph(n)
-    x = FiniteDist.uniform(space, [GraphVertex("L", i) for i in range(n)])
-    y = FiniteDist.uniform(space, [GraphVertex("R", i) for i in range(n)])
+    i = np.arange(n)
+    x = FiniteDist.uniform(space, AtomStack(space, np.column_stack([np.ones_like(i), i])))
+    y = FiniteDist.uniform(space, AtomStack(space, np.column_stack([np.zeros_like(i), i])))
     predicted = (n - 1.0) / n * 2.0 ** p + 1.0
     return NamedConstruction("bipartite", {"n": n, "p": p},
                              Config(space, x, y, p), predicted, EXACT)
@@ -168,19 +158,14 @@ def make_disjoint_bernoulli(n: int, q: float, p: float) -> NamedConstruction:
         raise ValueError("make_disjoint_bernoulli requires p >= 1")
     half = 2 ** n
     weights = np.full(2 * half, 2.0 ** (-n))
-    t = np.arange(half)
-    x_atoms = []
-    y_atoms = []
-    for i in range(n):
-        signs = 1.0 - 2.0 * ((t >> i) & 1)
-        left = np.concatenate([signs, np.zeros(half)]).astype(complex)
-        right = np.concatenate([np.zeros(half), signs]).astype(complex)
-        x_atoms.append(CVector(left, weights))
-        y_atoms.append(CVector(right, weights))
+    signs = 1.0 - 2.0 * ((np.arange(half) >> np.arange(n)[:, None]) & 1)
+    zeros = np.zeros((n, half))
     space = WeightedLq(q)
+    xs = AtomStack(space, np.concatenate([signs, zeros], axis=1), weights)
     config = Config(space,
-                    FiniteDist.uniform(space, x_atoms),
-                    FiniteDist.uniform(space, y_atoms), p)
+                    FiniteDist.uniform(space, xs),
+                    FiniteDist.uniform(space, xs.with_array(
+                        np.concatenate([zeros, signs], axis=1))), p)
     predicted = (1.0 - 1.0 / n) * 2.0 ** (1.0 + p * (q - 2.0) / q)
     return NamedConstruction("disjoint_bernoulli", {"n": n, "q": q, "p": p},
                              config, predicted, EXACT)
@@ -191,7 +176,8 @@ def make_disjoint_bernoulli(n: int, q: float, p: float) -> NamedConstruction:
 # --------------------------------------------------------------------------
 
 def _rademacher_vectors(n: int) -> tuple:
-    """n pairwise-independent symmetric Bernoulli vectors in weighted L_q.
+    """n pairwise-independent symmetric Bernoulli vectors in weighted L_q, as
+    the rows of one array, with their weights.
 
     Realized as the nonconstant characters omega -> prod_{i in S} omega_i on
     {-1,1}^k with k = ceil(log2(n+1)): distinct characters are pairwise
@@ -204,18 +190,13 @@ def _rademacher_vectors(n: int) -> tuple:
         k += 1
     dim = 2 ** k
     weights = np.full(dim, 2.0 ** (-k))
-    t = np.arange(dim)
-    vecs = []
-    for mask in range(1, n + 1):
-        v = t & mask
-        v = v ^ (v >> 16)
-        v = v ^ (v >> 8)
-        v = v ^ (v >> 4)
-        v = v ^ (v >> 2)
-        v = v ^ (v >> 1)
-        signs = 1.0 - 2.0 * (v & 1)
-        vecs.append(signs.astype(complex))
-    return vecs, weights
+    v = np.arange(dim) & np.arange(1, n + 1)[:, None]     # one row per mask
+    v = v ^ (v >> 16)
+    v = v ^ (v >> 8)
+    v = v ^ (v >> 4)
+    v = v ^ (v >> 2)
+    v = v ^ (v >> 1)
+    return (1.0 - 2.0 * (v & 1)).astype(complex), weights
 
 
 def make_jensen(kind: str, *, p: float, eps: Optional[float] = None,
@@ -235,7 +216,7 @@ def make_jensen(kind: str, *, p: float, eps: Optional[float] = None,
         raise ValueError("make_jensen requires p >= 1")
     if kind == "two_point":
         space = RealLine()
-        dist = FiniteDist.uniform(space, [-1.0, 1.0])
+        dist = FiniteDist.uniform(space, AtomStack(space, [-1.0, 1.0]))
         predicted = 2.0 ** (p - 1.0)
         params: Dict[str, float] = {"p": p}
         cid = "jensen_two_point"
@@ -243,7 +224,7 @@ def make_jensen(kind: str, *, p: float, eps: Optional[float] = None,
         if eps is None or not (0.0 < eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
         space = RealLine()
-        dist = FiniteDist(space, (1.0, 0.0), np.array([eps, 1.0 - eps]))
+        dist = FiniteDist(space, AtomStack(space, [1.0, 0.0]), np.array([eps, 1.0 - eps]))
         predicted = (2.0 * eps * (1.0 - eps)
                      / ((1.0 - eps) * eps ** p + eps * (1.0 - eps) ** p))
         params = {"p": p, "eps": eps}
@@ -252,11 +233,11 @@ def make_jensen(kind: str, *, p: float, eps: Optional[float] = None,
         if n is None or n < 1 or q is None or not (1.0 <= q < INF):
             raise ValueError("basis kind needs n >= 1 and finite q >= 1")
         space = WeightedLq(q)
-        atoms = []
-        for i in range(n):
-            atoms.append(CVector.basis(i, n))
-            atoms.append(CVector.basis(i, n, scale=-1.0))
-        dist = FiniteDist.uniform(space, atoms)
+        rows = np.zeros((2 * n, n), dtype=complex)     # e_1, -e_1, e_2, -e_2, ...
+        i = np.arange(n)
+        rows[2 * i, i] = 1.0
+        rows[2 * i + 1, i] = -1.0
+        dist = FiniteDist.uniform(space, AtomStack(space, rows))
         predicted = (n - 1.0) / n * 2.0 ** (p / q) + 2.0 ** p / (2.0 * n)
         params = {"p": p, "n": n, "q": q}
         cid = "jensen_basis"
@@ -265,11 +246,8 @@ def make_jensen(kind: str, *, p: float, eps: Optional[float] = None,
             raise ValueError("rademacher kind needs n >= 1 and finite q >= 1")
         space = WeightedLq(q)
         vecs, weights = _rademacher_vectors(n)
-        atoms = []
-        for v in vecs:
-            atoms.append(CVector(v, weights))
-            atoms.append(CVector(-v, weights))
-        dist = FiniteDist.uniform(space, atoms)
+        rows = np.stack([vecs, -vecs], axis=1).reshape(2 * n, -1)   # v_1, -v_1, ...
+        dist = FiniteDist.uniform(space, AtomStack(space, rows, weights))
         predicted = (n - 1.0) / n * 2.0 ** (p * (q - 1.0) / q) + 2.0 ** p / (2.0 * n)
         params = {"p": p, "n": n, "q": q}
         cid = "jensen_rademacher"
@@ -282,6 +260,12 @@ def make_jensen(kind: str, *, p: float, eps: Optional[float] = None,
 # --------------------------------------------------------------------------
 # Trace-class parallelogram configuration
 # --------------------------------------------------------------------------
+
+def _parallelogram_rows(n: int, m: int) -> tuple:
+    """The basis vectors e_1..e_m and i e_{n+1}..i e_{n+m} of C^{2n}, as the
+    rows of two arrays."""
+    return np.eye(m, 2 * n, dtype=complex), 1j * np.eye(m, 2 * n, k=n)
+
 
 def make_schatten_parallelogram(n: int, p: float) -> NamedConstruction:
     """Basis vectors e_1..e_n against i e_{n+1}..i e_{2n} under the
@@ -296,10 +280,9 @@ def make_schatten_parallelogram(n: int, p: float) -> NamedConstruction:
     if p < 1.0:
         raise ValueError("make_schatten_parallelogram requires p >= 1")
     space = ParallelogramS1(n)
-    dim = 2 * n
-    x = FiniteDist.uniform(space, [CVector.basis(k, dim) for k in range(n)])
-    y = FiniteDist.uniform(space, [CVector.basis(n + k, dim, scale=1j)
-                                   for k in range(n)])
+    xs, ys = _parallelogram_rows(n, n)
+    x = FiniteDist.uniform(space, AtomStack(space, xs))
+    y = FiniteDist.uniform(space, AtomStack(space, ys))
     predicted = (1.0 - 1.0 / n) * 2.0 ** (p / 2.0 + 1.0)
     return NamedConstruction("schatten_parallelogram", {"n": n, "p": p},
                              Config(space, x, y, p), predicted, EXACT)
@@ -314,7 +297,7 @@ def make_two_point(p: float) -> NamedConstruction:
     if p < 1.0:
         raise ValueError("make_two_point requires p >= 1")
     space = RealLine()
-    dist = FiniteDist.uniform(space, [0.0, 1.0])
+    dist = FiniteDist.uniform(space, AtomStack(space, [0.0, 1.0]))
     config = Config(space, dist, dist, p)
     return NamedConstruction("two_point", {"p": p}, config, 2.0 ** (2.0 - p), EXACT)
 
@@ -332,7 +315,7 @@ def make_eps_atom(eps: float, p: float) -> NamedConstruction:
     if p <= 1.0:
         raise ValueError("make_eps_atom requires p > 1")
     space = RealLine()
-    dist = FiniteDist(space, (1.0, 0.0), np.array([eps, 1.0 - eps]))
+    dist = FiniteDist(space, AtomStack(space, [1.0, 0.0]), np.array([eps, 1.0 - eps]))
     config = Config(space, dist, dist, p)
     r = 1.0 / (p - 1.0)
     predicted = 2.0 * (eps ** r + (1.0 - eps) ** r) ** (p - 1.0)

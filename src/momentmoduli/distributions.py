@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .spaces import (
+    INF,
     AtomStack,
     Space,
     Point,
@@ -50,7 +51,7 @@ def _parse_probs(raw) -> np.ndarray:
     for v in raw:
         try:
             vals.append(float(decimal.Decimal(v)) if isinstance(v, str) else float(v))
-        except (TypeError, decimal.InvalidOperation):
+        except (TypeError, OverflowError, decimal.InvalidOperation):
             raise ValueError("probabilities are numbers or decimal strings; "
                              f"got {v!r}") from None
     return np.asarray(vals, dtype=float)
@@ -79,9 +80,9 @@ class FiniteDist:
             raise ValueError("a distribution needs at least one atom")
         if probs.shape != (len(atoms),):
             raise ValueError("probs must match atoms in length")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > _PROB_SUM_TOL:
+        if not np.all(probs >= 0):
+            raise ValueError("probabilities must be nonnegative numbers")
+        if not abs(float(probs.sum()) - 1.0) <= _PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         stack = stack_points(self.space, atoms)
         if atoms is stack:
@@ -139,7 +140,11 @@ class FiniteDist:
             raise ValueError("a distribution's 'atoms' and 'probs' are lists")
         weights = None
         if obj.get("weights") is not None:
-            weights = np.asarray(obj["weights"], dtype=float)
+            try:
+                weights = np.asarray(obj["weights"], dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError("a distribution's 'weights' is a list of numbers; "
+                                 f"got {repr(obj['weights'])[:60]}") from None
         atoms = tuple(atom_from_json(space, a, weights) for a in raw_atoms)
         return cls(space, atoms, _parse_probs(raw_probs))
 
@@ -162,8 +167,8 @@ class Config:
     def __post_init__(self) -> None:
         if self.X.space != self.space or self.Y.space != self.space:
             raise ValueError("X and Y must live on the configured space")
-        if not (self.p > 0):
-            raise ValueError("exponent p must be positive")
+        if not (0 < self.p < INF):
+            raise ValueError(f"exponent p must be positive and finite; got {self.p!r}")
 
     def to_json(self) -> dict:
         out = {
@@ -250,8 +255,8 @@ def mean(x: FiniteDist) -> Point:
 
 def centered_moment(x: FiniteDist, p: float) -> float:
     """E d(X, E[X])^p."""
-    m = mean(x)
-    col = pairwise_powered(x.space, x.stack, [m], p)[:, 0]
+    m = x.stack.with_array(mean_row(x)[None])
+    col = pairwise_powered(x.space, x.stack, m, p)[:, 0]
     return float(x.probs @ col)
 
 

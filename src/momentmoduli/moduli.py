@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from . import constants
 from .barycenter import (
     BarycenterCert,
@@ -44,7 +46,6 @@ from .distributions import (
 from .spaces import (
     INF,
     BipartiteGraph,
-    GraphVertex,
     ParallelogramS1,
     Point,
     RealLine,
@@ -53,7 +54,9 @@ from .spaces import (
     Space,
     WeightedLq,
     is_linear,
+    pairwise_powered,
     space_to_json,
+    stack_points,
 )
 
 __all__ = [
@@ -270,19 +273,33 @@ def metric_barycenter_ratio(config: Config,
                             candidates: Optional[Sequence[Point]] = None) -> RatioReport:
     """Exact barycenter minimum over a finite candidate set of center points.
 
-    Default candidates: every vertex for a bipartite graph space, otherwise
-    the union of the two supports.
+    Default candidates: the union of the two supports, and for a bipartite
+    graph every vertex.  They form one stack; each law's distances to all of
+    them come from one kernel call.
     """
     if candidates is None:
+        zs = config.X.stack.concat(config.Y.stack)
         if isinstance(config.space, BipartiteGraph):
-            candidates = [GraphVertex(side, i)
-                          for side in ("L", "R") for i in range(config.space.n)]
-        else:
-            candidates = list(config.X.atoms) + list(config.Y.atoms)
-    if len(candidates) == 0:
+            # a vertex outside the supports is as far from each atom as any
+            # other there on its side: the first such one per side stands in
+            rows = [zs.array]
+            for side in (1, 0):
+                taken = set(zs.array[zs.array[:, 0] == side, 1].tolist())
+                free = min(set(range(len(taken) + 1)) - taken)
+                if free < config.space.n:
+                    rows.append([(side, free)])
+            zs = zs.with_array(np.concatenate(rows))
+    elif len(candidates) == 0:
         raise ValueError("metric_barycenter_ratio needs a nonempty candidate set")
+    else:
+        zs = stack_points(config.space, candidates)
     den = cross_moment(config.X, config.Y, config.p)
-    best = min(barycenter_objective(config, z) for z in candidates)
+    # one contiguous row per candidate, so that each candidate's sum is the
+    # same dot product as for that candidate alone
+    mx = np.ascontiguousarray(pairwise_powered(config.space, config.X.stack, zs, config.p).T)
+    my = np.ascontiguousarray(pairwise_powered(config.space, config.Y.stack, zs, config.p).T)
+    px, py = config.X.probs, config.Y.probs
+    best = min(float(px @ mx[j] + py @ my[j]) for j in range(len(zs)))
     bound = constants.metric_bound(config.p) if config.p >= 1.0 else None
     if den <= 0.0:
         if best == 0.0:

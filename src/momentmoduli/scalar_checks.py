@@ -2,10 +2,11 @@
 
 Covers the q >= 3 sub-additivity machinery for centered real variables, the
 log-moment identities behind the multiplicative (L_0) inequalities, and the
-Parseval inequalities that drive the interpolation bounds.  Expectations over
-finitely supported laws are exact sums; the two genuinely continuous objects
-(the Laplace-transform identity for E log W and the circular log-moment) go
-through panel quadrature with explicit singularity and tail control.
+Parseval inequalities that drive the interpolation bounds.  Real-valued laws
+are :class:`FiniteDist` values on :class:`RealLine`.  Expectations over such
+laws are exact sums; the two genuinely continuous objects (the Laplace-
+transform identity for E log W and the circular log-moment) go through panel
+quadrature with explicit singularity and tail control.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from typing import Tuple
 
 import numpy as np
 
+from .distributions import FiniteDist, mean_row, mixture
 from .quadrature import gl_panel, integrate_segment
+from .spaces import AtomStack, RealLine
 
 __all__ = [
-    "ScalarDist",
     "KernelMatrix",
     "phi_power",
     "alpha_fn",
@@ -30,7 +32,6 @@ __all__ = [
     "cosine_log_moment",
     "log_abs_cos_moment",
     "verify_scalar_hilbert",
-    "scalar_mixture",
     "random_centered_pair",
     "random_positive_dist",
     "random_kernel",
@@ -43,55 +44,19 @@ __all__ = [
     "run_laplace_suite",
 ]
 
-
-@dataclass(frozen=True, eq=False)
-class ScalarDist:
-    """Finitely supported real-valued distribution."""
-
-    atoms: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.atoms, dtype=float)
-        p = np.array(self.probs, dtype=float)
-        if a.ndim != 1 or a.size == 0 or p.shape != a.shape:
-            raise ValueError("atoms and probs must be matching nonempty vectors")
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1")
-        a.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "atoms", a)
-        object.__setattr__(self, "probs", p)
-
-    @classmethod
-    def uniform(cls, atoms) -> "ScalarDist":
-        a = np.asarray(atoms, dtype=float)
-        return cls(a, np.full(a.size, 1.0 / a.size))
-
-    @classmethod
-    def delta(cls, atom: float) -> "ScalarDist":
-        return cls(np.array([atom]), np.array([1.0]))
-
-    def mean(self) -> float:
-        return float(self.probs @ self.atoms)
-
-    def centered(self) -> "ScalarDist":
-        return ScalarDist(self.atoms - self.mean(), self.probs)
+_RL = RealLine()
 
 
-def scalar_mixture(x: ScalarDist, y: ScalarDist) -> ScalarDist:
-    """Half-and-half mixture with exact-equality atom merging."""
-    atoms = list(x.atoms)
-    probs = [0.5 * p for p in x.probs]
-    for a, p in zip(y.atoms, y.probs):
-        for i, b in enumerate(atoms):
-            if a == b:
-                probs[i] += 0.5 * p
-                break
-        else:
-            atoms.append(a)
-            probs.append(0.5 * p)
-    return ScalarDist(np.asarray(atoms), np.asarray(probs))
+def _real_law(atoms: np.ndarray, probs: np.ndarray) -> FiniteDist:
+    return FiniteDist(_RL, AtomStack(_RL, atoms), probs)
+
+
+def _real_arrays(law: FiniteDist) -> Tuple[np.ndarray, np.ndarray]:
+    """A real-line law's atoms and probabilities; any other law is refused."""
+    if not isinstance(law.space, RealLine):
+        raise ValueError("the scalar checks take laws on RealLine; "
+                         f"got one on {type(law.space).__name__}")
+    return law.stack.array, law.probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,20 +131,21 @@ def beta_ratio(beta: float, q: float) -> float:
     return num / den
 
 
-def check_subadditivity(x: ScalarDist, y: ScalarDist, q: float,
+def check_subadditivity(x: FiniteDist, y: FiniteDist, q: float,
                         tol: float = 1e-10) -> Tuple[float, float, bool]:
-    """E|X+Y|^q vs E|X|^q + E|Y|^q for independent mean-zero X, Y.
+    """E|X+Y|^q vs E|X|^q + E|Y|^q for independent mean-zero real X, Y.
 
     Returns (lhs, rhs, holds); inputs that are not centered to 1e-12 are
     rejected rather than silently recentered.
     """
-    if abs(x.mean()) > 1e-12 or abs(y.mean()) > 1e-12:
+    xa, xp = _real_arrays(x)
+    ya, yp = _real_arrays(y)
+    if abs(mean_row(x)) > 1e-12 or abs(mean_row(y)) > 1e-12:
         raise ValueError("check_subadditivity requires mean-zero inputs")
-    s = x.atoms[:, None] + y.atoms[None, :]
-    joint = np.outer(x.probs, y.probs)
+    s = xa[:, None] + ya[None, :]
+    joint = np.outer(xp, yp)
     lhs = float((joint * np.abs(s) ** q).sum())
-    rhs = float((x.probs * np.abs(x.atoms) ** q).sum()
-                + (y.probs * np.abs(y.atoms) ** q).sum())
+    rhs = float((xp * np.abs(xa) ** q).sum() + (yp * np.abs(ya) ** q).sum())
     scale = max(1.0, abs(lhs), abs(rhs))
     return lhs, rhs, lhs >= rhs - tol * scale
 
@@ -188,30 +154,31 @@ def check_subadditivity(x: ScalarDist, y: ScalarDist, q: float,
 # Log-moment identities
 # --------------------------------------------------------------------------
 
-def laplace_log_identity(w: ScalarDist) -> Tuple[float, float]:
+def laplace_log_identity(w: FiniteDist) -> Tuple[float, float]:
     """E log W versus the Laplace-transform integral
-    int_0^inf (e^-s - E e^-sW) / s ds for strictly positive W.
+    int_0^inf (e^-s - E e^-sW) / s ds for strictly positive real W.
 
     lhs is the exact atom sum.  rhs truncates at S chosen so the analytic
     tail bound e^-S/S + e^-(w_min S)/(w_min S) drops below 1e-9, integrates
     [1e-12, S] on geometrically shrinking Gauss-Legendre panels, and extends
     the integrand by its limit E[W] - 1 on [0, 1e-12].
     """
-    if np.any(w.atoms <= 0):
+    atoms, probs = _real_arrays(w)
+    if np.any(atoms <= 0):
         raise ValueError("laplace_log_identity requires strictly positive atoms")
-    lhs = float(w.probs @ np.log(w.atoms))
-    wmin = float(w.atoms.min())
+    lhs = float(probs @ np.log(atoms))
+    wmin = float(atoms.min())
 
     s_hi = max(1.0, 50.0 / min(1.0, wmin))
     while math.exp(-s_hi) / s_hi + math.exp(-wmin * s_hi) / (wmin * s_hi) > 1e-9:
         s_hi *= 2.0
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        lap = np.exp(-np.outer(s, w.atoms)) @ w.probs
+        lap = np.exp(-np.outer(s, atoms)) @ probs
         return (np.exp(-s) - lap) / s
 
     cutoff = 1e-12
-    total = (w.mean() - 1.0) * cutoff
+    total = (float(mean_row(w)) - 1.0) * cutoff
     hi = s_hi
     while hi > cutoff:
         lo = max(hi * 0.5, cutoff)
@@ -220,17 +187,25 @@ def laplace_log_identity(w: ScalarDist) -> Tuple[float, float]:
     return lhs, total
 
 
-def gaussian_smoothing_check(x: ScalarDist, y: ScalarDist, s: float,
+def gaussian_smoothing_check(x: FiniteDist, y: FiniteDist, s: float,
                              tol: float = 1e-12) -> Tuple[float, float, bool]:
     """E e^{-s (Z - Z')^2} >= E e^{-s (X - Y)^2} with Z the mixture of the
-    laws of X and Y; both sides are exact finite sums."""
+    laws of X and Y on the real line; both sides are exact finite sums."""
+    return _smoothing_sides(x, y, mixture(x, y), s, tol)
+
+
+def _smoothing_sides(x: FiniteDist, y: FiniteDist, z: FiniteDist, s: float,
+                     tol: float = 1e-12) -> Tuple[float, float, bool]:
+    """The smoothing check with the mixture ``z`` of ``x`` and ``y`` given."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    z = scalar_mixture(x, y)
-    dz = z.atoms[:, None] - z.atoms[None, :]
-    lhs = float(z.probs @ np.exp(-s * dz ** 2) @ z.probs)
-    dxy = x.atoms[:, None] - y.atoms[None, :]
-    rhs = float(x.probs @ np.exp(-s * dxy ** 2) @ y.probs)
+    xa, xp = _real_arrays(x)
+    ya, yp = _real_arrays(y)
+    za, zp = _real_arrays(z)
+    dz = za[:, None] - za[None, :]
+    lhs = float(zp @ np.exp(-s * dz ** 2) @ zp)
+    dxy = xa[:, None] - ya[None, :]
+    rhs = float(xp @ np.exp(-s * dxy ** 2) @ yp)
     return lhs, rhs, lhs >= rhs - tol * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -318,23 +293,22 @@ def verify_scalar_hilbert(
 # --------------------------------------------------------------------------
 
 def random_centered_pair(rng: np.random.Generator,
-                         max_atoms: int = 4) -> Tuple[ScalarDist, ScalarDist]:
-    """Two independent mean-zero distributions with 2..max_atoms atoms."""
+                         max_atoms: int = 4) -> Tuple[FiniteDist, FiniteDist]:
+    """Two independent mean-zero real laws with 2..max_atoms atoms."""
 
-    def one() -> ScalarDist:
+    def one() -> FiniteDist:
         m = int(rng.integers(2, max_atoms + 1))
         atoms = rng.normal(size=m)
         probs = rng.dirichlet(np.ones(m))
-        d = ScalarDist(atoms, probs)
-        return d.centered()
+        return _real_law(atoms - probs @ atoms, probs)
 
     return one(), one()
 
 
 def random_positive_dist(rng: np.random.Generator,
-                         max_atoms: int = 4) -> ScalarDist:
+                         max_atoms: int = 4) -> FiniteDist:
     m = int(rng.integers(1, max_atoms + 1))
-    return ScalarDist(np.exp(rng.normal(size=m)), rng.dirichlet(np.ones(m)))
+    return _real_law(np.exp(rng.normal(size=m)), rng.dirichlet(np.ones(m)))
 
 
 def random_kernel(rng: np.random.Generator, m: int = 5, k: int = 5,
@@ -408,11 +382,12 @@ def run_smoothing_suite(svals=(0.1, 1.0, 10.0), seeds: int = 1000,
     rng = np.random.default_rng(seed)
     for i in range(seeds):
         m = int(rng.integers(1, 5))
-        x = ScalarDist(rng.normal(size=m), rng.dirichlet(np.ones(m)))
+        x = _real_law(rng.normal(size=m), rng.dirichlet(np.ones(m)))
         k = int(rng.integers(1, 5))
-        y = ScalarDist(rng.normal(size=k), rng.dirichlet(np.ones(k)))
+        y = _real_law(rng.normal(size=k), rng.dirichlet(np.ones(k)))
+        z = mixture(x, y)
         for s in svals:
-            lhs, rhs, holds = gaussian_smoothing_check(x, y, s)
+            lhs, rhs, holds = _smoothing_sides(x, y, z, s)
             if not holds:
                 violations.append({"check": "smoothing", "s": s,
                                    "seed_index": i, "lhs": lhs, "rhs": rhs})

@@ -31,7 +31,6 @@ from .moduli import (
 from .spaces import (
     INF,
     AtomStack,
-    CVector,
     ParallelogramS1,
     RealLine,
     Space,
@@ -67,8 +66,10 @@ class SearchSpec:
             raise ValueError("budget and restarts must be >= 1")
         if self.max_atoms_x < 1 or self.max_atoms_y < 1:
             raise ValueError("atom bounds must be >= 1")
-        if not (self.p > 0):
-            raise ValueError("p must be positive")
+        if not (0 < self.p < INF):
+            raise ValueError("p must be positive and finite")
+        if self.dim is not None and self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if not isinstance(self.space, (RealLine, WeightedLq, ParallelogramS1)):
             raise TypeError("search supports RealLine, WeightedLq and "
                             "ParallelogramS1 spaces")
@@ -144,12 +145,11 @@ def _warm_start(spec: SearchSpec) -> Optional[Config]:
         m = min(spec.space.n, spec.max_atoms_x, spec.max_atoms_y)
         if m < 2:
             return None
-        dim = 2 * spec.space.n
-        x = FiniteDist.uniform(spec.space, [CVector.basis(k, dim) for k in range(m)])
-        y = FiniteDist.uniform(
-            spec.space,
-            [CVector.basis(spec.space.n + k, dim, scale=1j) for k in range(m)])
-        return Config(spec.space, x, y, spec.p)
+        from .constructions import _parallelogram_rows
+        xs, ys = _parallelogram_rows(spec.space.n, m)
+        return Config(spec.space,
+                      FiniteDist.uniform(spec.space, AtomStack(spec.space, xs)),
+                      FiniteDist.uniform(spec.space, AtomStack(spec.space, ys)), spec.p)
     return None
 
 
@@ -162,7 +162,7 @@ def _initial_config(spec: SearchSpec, restart: int,
     if isinstance(spec.space, ParallelogramS1):
         dim = 2 * spec.space.n
     else:
-        dim = spec.dim or 2 * max(spec.max_atoms_x, spec.max_atoms_y)
+        dim = 2 * max(spec.max_atoms_x, spec.max_atoms_y) if spec.dim is None else spec.dim
     nx = int(rng.integers(1, spec.max_atoms_x + 1))
     ny = int(rng.integers(1, spec.max_atoms_y + 1))
     return Config(spec.space,

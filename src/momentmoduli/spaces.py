@@ -120,13 +120,6 @@ class CVector:
     def zeros(cls, dim: int, weights: Optional[np.ndarray] = None) -> "CVector":
         return cls(np.zeros(dim, dtype=complex), weights)
 
-    def __sub__(self, other: "CVector") -> "CVector":
-        if not isinstance(other, CVector):
-            return NotImplemented
-        if not np.array_equal(self.weights, other.weights):
-            raise ValueError("CVector subtraction requires identical weights")
-        return CVector(self.entries - other.entries, self.weights)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CVector)
@@ -155,11 +148,6 @@ class CMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def __sub__(self, other: "CMatrix") -> "CMatrix":
-        if not isinstance(other, CMatrix):
-            return NotImplemented
-        return CMatrix(self.entries - other.entries)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CMatrix) and np.array_equal(self.entries, other.entries)
@@ -653,14 +641,17 @@ def atom_from_json(space: Space, obj, weights: Optional[np.ndarray] = None) -> P
     if isinstance(space, RealLine):
         try:
             return float(obj)
-        except TypeError:
+        except (TypeError, OverflowError):
             raise ValueError(f"real_line atoms are numbers; got {obj!r}") from None
     if isinstance(space, BipartiteGraph):
         try:
             side, index = obj
+            if isinstance(index, float) and not index.is_integer():
+                raise ValueError
             index = int(index)
-        except (TypeError, ValueError):
-            raise ValueError(f"graph atoms are [side, index] pairs; got {obj!r}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("graph atoms are [side, index] pairs with an integer "
+                             f"index; got {obj!r}") from None
         return GraphVertex(str(side), index)
     if isinstance(space, Schatten):
         return CMatrix(_complex_from_pairs(obj, 2, "schatten"))

@@ -229,3 +229,92 @@ def test_ratio_point_of_the_wrong_space_exits_2(capsys, tmp_path):
     code, _, err = run_cli(["ratio", "--config", str(path)], capsys)
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["constants", "--step", "0"], "--step"),
+    (["constants", "--pstep", "0"], "--pstep"),
+    (["constants", "--qstep", "0"], "--qstep"),
+    (["constants", "--step", "-0.5"], "--step"),
+    (["sweep", "--construction", "bipartite", "--n", "inf", "--p", "1"], "--n"),
+    (["sweep", "--construction", "bipartite", "--n", "1.5", "--p", "1"], "--n"),
+    (["check", "alpha", "--grid", "0"], "--grid"),
+    (["check", "subadditivity", "--seeds", "0"], "--seeds"),
+    (["check", "cosine", "--tolerance", "-1"], "--tolerance"),
+], ids=["step-0", "pstep-0", "qstep-0", "step-negative", "n-inf", "n-fraction",
+        "grid-0", "seeds-0", "tolerance-negative"])
+def test_invalid_flag_value_exits_2_naming_the_flag(capsys, args, flag):
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert flag in err
+    assert "Traceback" not in err
+
+
+_SEARCH = ["search", "--objective", "roundness", "--budget", "5", "--seed", "1"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (_SEARCH + ["--space", "lq", "--q", "2", "--p", "2", "--dim", "0"], "dim"),
+    (_SEARCH + ["--space", "realline", "--p", "inf"], "finite"),
+    (["verify", "fn", "--n", "2", "--q", "inf", "--p", "inf"], "finite"),
+    (["sweep", "--construction", "two-point", "--p", "2,inf"], "finite"),
+], ids=["search-dim-0", "search-p-inf", "verify-p-inf", "sweep-p-inf"])
+def test_zero_dimension_and_infinite_exponent_exit_2(capsys, args, message):
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_ratio_infinite_exponent_exits_2(capsys, tmp_path):
+    path = tmp_path / "p_inf.json"
+    path.write_text(json.dumps({**_LQ_CONFIG, "p": "inf"}))
+    code, _, err = run_cli(["ratio", "--config", str(path)], capsys)
+    assert code == 2
+    assert "finite" in err
+
+
+def test_check_tolerance_zero_is_honoured(capsys):
+    code, _, err = run_cli(["check", "cosine", "--grid", "4"], capsys)
+    assert (code, err.strip()) == (0, "check cosine: 0 violation(s)")
+    # the quadrature is accurate to about 1e-9, not exact
+    code, _, err = run_cli(["check", "cosine", "--grid", "4", "--tolerance", "0"], capsys)
+    assert (code, err.strip()) == (1, "check cosine: 4 violation(s)")
+
+
+_GRAPH_CONFIG = {
+    "space": {"kind": "bipartite_graph", "n": 2},
+    "X": {"atoms": [["L", 0]], "probs": [1.0]},
+    "Y": {"atoms": [["R", 1]], "probs": [1.0]},
+    "p": 1.0,
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("config,message", [
+    ({**_LQ_CONFIG, "p": 1e6}, "floating-point range"),
+    ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": ["nan"]}}, "nonnegative"),
+    ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": [10 ** 400]}}, "probabilities"),
+    ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": [1.0], "weights": {}}}, "'weights'"),
+    ({**_GRAPH_CONFIG, "X": {"atoms": [["L", 0.5]], "probs": [1.0]}}, "integer index"),
+    ({**_GRAPH_CONFIG, "X": {"atoms": [["L", 1e400]], "probs": [1.0]}}, "integer index"),
+    ({"space": {"kind": "real_line"}, "X": {"atoms": [10 ** 400], "probs": [1.0]},
+      "Y": {"atoms": [0.0], "probs": [1.0]}, "p": 1.0}, "real_line atoms"),
+], ids=["p-overflows-the-bounds", "prob-nan", "prob-huge-int", "weights-object",
+        "vertex-index-fraction", "vertex-index-inf", "real-atom-huge-int"])
+def test_ratio_out_of_range_or_malformed_values_exit_2(capsys, tmp_path, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(["ratio", "--config", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_verify_with_an_exponent_beyond_the_float_range_exits_2(capsys):
+    code, _, err = run_cli(["verify", "bipartite", "--n", "2", "--p", "5000"], capsys)
+    assert code == 2
+    assert "floating-point range" in err

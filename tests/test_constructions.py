@@ -16,7 +16,7 @@ from momentmoduli.constructions import (
     verify_construction,
 )
 from momentmoduli.distributions import FiniteDist, cross_moment, self_moment
-from momentmoduli.spaces import INF, CVector, distance
+from momentmoduli.spaces import INF, CVector, GraphVertex, distance
 
 # ---------------------------------------------------------------- fn family
 
@@ -270,3 +270,65 @@ def test_construction_ids_all_buildable():
         assert nc.id == cid
         assert math.isfinite(nc.predicted)
         assert math.isfinite(computed_ratio(nc))
+
+
+# ------------------------------------------- stacks against per-atom points
+
+def _fn_points(n):
+    a, b = [], []
+    for j in range(n):
+        row = [-(n + 2)] * n + [n - 2] * n
+        row[j] = 3 * n - 2
+        a.append(CVector(np.array(row, dtype=complex)))
+        row = [n - 2] * n + [-(n + 2)] * n
+        row[n + j] = 3 * n - 2
+        b.append(CVector(np.array(row, dtype=complex)))
+    return a, b
+
+
+def _disjoint_bernoulli_points(n):
+    half, t = 2 ** n, np.arange(2 ** n)
+    w = np.full(2 * half, 2.0 ** (-n))
+    signs = [1.0 - 2.0 * ((t >> i) & 1) for i in range(n)]
+    return ([CVector(np.concatenate([s, np.zeros(half)]), w) for s in signs],
+            [CVector(np.concatenate([np.zeros(half), s]), w) for s in signs])
+
+
+def _rademacher_points(n):
+    k = max(1, math.ceil(math.log2(n + 1)))
+    t = np.arange(2 ** k)
+    w = np.full(2 ** k, 2.0 ** (-k))
+    out = []
+    for mask in range(1, n + 1):
+        v = np.array([bin(int(x) & mask).count("1") % 2 for x in t])
+        s = (1.0 - 2.0 * v).astype(complex)
+        out += [CVector(s, w), CVector(-s, w)]
+    return out
+
+
+def _same_bits(dist, points):
+    ref = FiniteDist.uniform(dist.space, points).stack
+    return (dist.stack.array.tobytes() == ref.array.tobytes()
+            and dist.stack.array.dtype == ref.array.dtype
+            and np.array_equal(dist.stack.weights, ref.weights))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_construction_stacks_are_the_per_atom_points_bit_for_bit(n):
+    if n >= 2:
+        nc = make_fn(n, INF, 1.0)
+        a, b = _fn_points(n)
+        assert _same_bits(nc.config.X, a) and _same_bits(nc.config.Y, b)
+    nc = make_disjoint_bernoulli(n, 3.0, 2.0)
+    a, b = _disjoint_bernoulli_points(n)
+    assert _same_bits(nc.config.X, a) and _same_bits(nc.config.Y, b)
+    basis = [CVector.basis(i, n, s) for i in range(n) for s in (1.0, -1.0)]
+    assert _same_bits(make_jensen("basis", p=2.0, n=n, q=3.0).config.X, basis)
+    assert _same_bits(make_jensen("rademacher", p=2.0, n=n, q=3.0).config.X,
+                      _rademacher_points(n))
+    nc = make_schatten_parallelogram(n, 1.0)
+    assert _same_bits(nc.config.X, [CVector.basis(k, 2 * n) for k in range(n)])
+    assert _same_bits(nc.config.Y, [CVector.basis(n + k, 2 * n, 1j) for k in range(n)])
+    nc = make_bipartite(n, 2.0)
+    assert _same_bits(nc.config.X, [GraphVertex("L", i) for i in range(n)])
+    assert _same_bits(nc.config.Y, [GraphVertex("R", i) for i in range(n)])

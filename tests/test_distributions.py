@@ -58,6 +58,13 @@ def test_config_requires_shared_space():
         Config(RL, x, x, 0.0)
 
 
+@pytest.mark.parametrize("p", [INF, float("nan")])
+def test_config_rejects_a_non_finite_exponent(p):
+    x = FiniteDist.delta(RL, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Config(RL, x, x, p)
+
+
 # ---------------------------------------------------------------- mixture
 
 def test_mixture_of_two_deltas():

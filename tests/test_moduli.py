@@ -29,7 +29,9 @@ from momentmoduli.moduli import (
 )
 from momentmoduli.spaces import (
     INF,
+    BipartiteGraph,
     CVector,
+    GraphVertex,
     ParallelogramS1,
     RealLine,
     Schatten,
@@ -676,3 +678,51 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_mean_mixture_and_barycenter_golden_values(name):
     assert _golden(_golden_configs()[name]) == GOLDEN[name]
+
+
+# metric barycenter values, recorded while the minimum was taken one
+# candidate centre at a time
+METRIC_BARYCENTER_GOLDEN = {
+    ("bipartite100", 1.0): 2.9799999999999995,
+    ("bipartite100", 2.0): 4.959999999999999,
+    ("bipartite100", 3.0): 8.919999999999998,
+    ("bipartite500", 1.0): 2.9959999999999996,
+    ("bipartite500", 2.0): 4.991999999999999,
+    ("bipartite500", 3.0): 8.983999999999998,
+    ("l2", 1.0): 1.5586192603412787,
+    ("l2", 1.5): 1.3930932158479188,
+}
+
+
+def _metric_barycenter_config(name, p):
+    if name.startswith("bipartite"):
+        return make_bipartite(int(name[len("bipartite"):]), p).config
+    rng = np.random.default_rng(606)
+    l2 = WeightedLq(2.0)
+    x = FiniteDist(l2, tuple(CVector(rng.normal(size=4) + 1j * rng.normal(size=4))
+                             for _ in range(30)), rng.dirichlet(np.ones(30)))
+    y = FiniteDist(l2, tuple(CVector(rng.normal(size=4) + 1j * rng.normal(size=4))
+                             for _ in range(25)), rng.dirichlet(np.ones(25)))
+    return Config(l2, x, y, p)
+
+
+@pytest.mark.parametrize("name,p", sorted(METRIC_BARYCENTER_GOLDEN))
+def test_metric_barycenter_golden_values(name, p):
+    value = metric_barycenter_ratio(_metric_barycenter_config(name, p)).value
+    assert value == METRIC_BARYCENTER_GOLDEN[name, p]
+
+
+def test_metric_barycenter_on_a_huge_graph_costs_only_the_supports():
+    # a vertex outside both supports is as far from every atom as any other
+    # one on its side, so only the first of them is a candidate
+    def config(n):
+        g = BipartiteGraph(n)
+        x = FiniteDist(g, (GraphVertex("L", 0), GraphVertex("R", 2)), np.array([0.3, 0.7]))
+        y = FiniteDist(g, (GraphVertex("L", 1), GraphVertex("R", 0)), np.array([0.6, 0.4]))
+        return Config(g, x, y, 2.0)
+
+    small = config(4)
+    everywhere = [GraphVertex(side, i) for side in ("L", "R") for i in range(4)]
+    expected = metric_barycenter_ratio(small, everywhere).value
+    assert metric_barycenter_ratio(small).value == expected
+    assert metric_barycenter_ratio(config(10 ** 15)).value == expected

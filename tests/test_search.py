@@ -172,3 +172,19 @@ def test_search_golden_values(spec, ratio, n_trace, trace_sha, atoms_sha):
     cfg = r.best_config
     both = _atom_bytes(cfg.X) + _atom_bytes(cfg.Y)
     assert hashlib.sha256(both).hexdigest() == atoms_sha
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"p": float("inf")}, "finite"),
+    ({"p": float("nan")}, "finite"),
+    ({"p": 2.0, "dim": 0}, "dim"),
+], ids=["p-inf", "p-nan", "dim-0"])
+def test_search_spec_rejects_infinite_exponent_and_empty_dimension(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SearchSpec(space=WeightedLq(2.0), objective="roundness", **kwargs)
+
+
+def test_search_uses_the_given_dimension():
+    spec = SearchSpec(space=WeightedLq(2.0), objective="mixture", p=2.0,
+                      budget=3, seed=5, dim=1)
+    assert run_search(spec).best_config.X.stack.array.shape[1] == 1
