@@ -6,6 +6,10 @@ schedule converges to the global minimum.  Starts are all support atoms, the
 mixture mean, and the origin; every start is evaluated before any iteration,
 so the reported value never exceeds the objective at any start.
 
+Every linear kind takes analytic subgradients on the flattened complex
+entries of its points: l_q and the real line coordinatewise, Schatten-q and
+ParallelogramS1 from one batched SVD of the differences to the atoms.
+
 The step schedule is s_k = s0 / sqrt(k) with s0 the diameter of the support,
 applied to the normalized subgradient direction.  The schedule is run in
 three warm-restarted sub-schedules with geometrically shrinking s0 (1, 1/30,
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -102,7 +106,37 @@ def mixture_draw_bound(config: Config) -> float:
 # Problem adapters: batched objective / subgradient over starts
 # --------------------------------------------------------------------------
 
-class _LqProblem:
+class _Problem:
+    """Set-up shared by the problem kinds.  Iterates (S, k) are the flattened
+    complex entries of stack rows; ``zero_sum`` projects them onto the
+    hyperplane of zero entry sum."""
+
+    def __init__(self, config: Config):
+        both = config.X.stack.concat(config.Y.stack).array
+        self._real_line = isinstance(config.space, RealLine)
+        self.shape = both.shape[1:]
+        self.atoms = self.flat(both)                           # (A, k)
+        self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
+        self.p = config.p
+        self.q = getattr(config.space, "q", None)    # None where the space has no q
+        self.zero_sum = config.zero_sum
+
+    def flat(self, rows: np.ndarray) -> np.ndarray:
+        """Iterates from stack rows."""
+        return rows.reshape(len(rows), -1).astype(complex, copy=False)
+
+    def rows(self, z: np.ndarray) -> np.ndarray:
+        """Stack rows from iterates."""
+        rows = z.reshape((len(z),) + self.shape)
+        return rows.real if self._real_line else rows
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        if self.zero_sum:
+            return z - z.mean(axis=-1, keepdims=True)
+        return z
+
+
+class _LqProblem(_Problem):
     """Weighted l_q objective with analytic subgradients, batched over starts.
 
     Subgradient selections at nonsmooth points: tied coordinates contribute a
@@ -111,21 +145,13 @@ class _LqProblem:
     """
 
     def __init__(self, config: Config):
-        space = config.space
-        both = config.X.stack.concat(config.Y.stack)
-        self._real_line = isinstance(space, RealLine)
-        self.atoms = self.flat(both.array)                     # (A, d)
+        super().__init__(config)
         if self._real_line:
             self.weights = np.ones(1)
             self.q = 2.0
         else:
-            self.weights = both.weights
-            self.q = space.q
+            self.weights = config.X.stack.weights
         self.unit = bool(np.all(self.weights == 1.0))
-        self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
-        self.p = config.p
-        self.space = space
-        self.zero_sum = config.zero_sum
 
     def closed_form(self) -> Optional[str]:
         """``"mean"`` or ``"median"``, the start that minimizes the
@@ -139,21 +165,6 @@ class _LqProblem:
                 and not np.any(self.atoms.imag)):
             return "median"
         return None
-
-    def flat(self, rows: np.ndarray) -> np.ndarray:
-        """Iterates (S, d) complex from stack rows."""
-        if self._real_line:
-            return rows.astype(complex)[:, None]
-        return rows
-
-    def rows(self, z: np.ndarray) -> np.ndarray:
-        """Stack rows from iterates."""
-        return z[:, 0].real if self._real_line else z
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        if self.zero_sum:
-            return z - z.mean(axis=-1, keepdims=True)
-        return z
 
     def value_and_subgrad(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Objective and subgradient at each start; called with divide and
@@ -191,62 +202,41 @@ class _LqProblem:
         return f, g
 
 
-class _NumericProblem:
-    """Finite-difference fallback for Schatten and parallelogram objectives.
+class _SvdProblem(_Problem):
+    """Schatten-q and ParallelogramS1 objectives with analytic subgradients
+    from one batched SVD of the differences A to the atoms.
 
-    Iterates live on flattened real coordinates; central differences supply
-    an approximate subgradient (the objectives are differentiable off a
-    measure-zero set).
+    The subgradient of d^p is p d^(p-1) U D V*.  Schatten-q: d is the l_q
+    norm of the singular values s_j and D = diag(s_j / d)^(q-1), with zero
+    singular values left out and the ratios s_j / s_1 formed first so that no
+    power over- or underflows.  ParallelogramS1: A is the real 2 x k matrix
+    [Re c; Im c], d = s_1 and U D V* = u_1 v_1^T, read back as
+    (u_1[0] + i u_1[1]) v_1; a repeated s_1 still gives a valid subgradient.
     """
 
-    _H = 1e-6
-
-    def __init__(self, config: Config):
-        if config.zero_sum:
-            raise ValueError("zero_sum constraint is only supported on "
-                             "WeightedLq configurations")
-        self.config = config
-        self.space = config.space
-        self.atoms = config.X.stack.concat(config.Y.stack)
-        self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
-
-    def flat(self, rows: np.ndarray) -> np.ndarray:
-        """Iterates (S, 2k) real from stack rows of k complex entries."""
-        e = rows.reshape(len(rows), -1)
-        return np.concatenate([e.real, e.imag], axis=-1)
-
-    def rows(self, z: np.ndarray) -> np.ndarray:
-        """Stack rows from iterates."""
-        half = z.shape[-1] // 2
-        e = z[..., :half] + 1j * z[..., half:]
-        return e.reshape(e.shape[:-1] + self.atoms.array.shape[1:])
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        return z
-
-    def _values(self, zbatch: np.ndarray) -> np.ndarray:
-        pts = self.atoms.with_array(self.rows(zbatch))
-        m = pairwise_powered(self.space, self.atoms, pts, self.config.p)
-        return self.coeffs @ m
-
     def value_and_subgrad(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        f = self._values(z)
-        s, dim = z.shape
-        g = np.empty_like(z)
-        for c in range(dim):
-            zp = z.copy()
-            zm = z.copy()
-            zp[:, c] += self._H
-            zm[:, c] -= self._H
-            g[:, c] = (self._values(zp) - self._values(zm)) / (2.0 * self._H)
+        """Objective and subgradient at each start; called with divide and
+        invalid floating-point warnings off (see ``minimize_barycenter``)."""
+        q, p = self.q, self.p
+        u = z[:, None, :] - self.atoms[None, :, :]         # (S, A, k)
+        if q is None:
+            left, sv, right = np.linalg.svd(np.stack([u.real, u.imag], axis=-2),
+                                            full_matrices=False)
+            d = sv[..., 0]                                 # (S, A)
+            core = (left[..., 0, 0] + 1j * left[..., 1, 0])[..., None] * right[..., 0, :]
+        else:
+            left, sv, right = np.linalg.svd(u.reshape(u.shape[:2] + self.shape),
+                                            full_matrices=False)
+            top = sv[..., :1]
+            r = sv / np.where(top > 0, top, 1.0)           # s_j / s_1
+            t = (r ** q).sum(axis=-1) ** (1.0 / q)         # d / s_1
+            d = sv[..., 0] * t
+            diag = np.where(r > 0, (r / t[..., None]) ** (q - 1.0), 0.0)
+            core = ((left * diag[..., None, :]) @ right).reshape(u.shape)
+        f = (d ** p) @ self.coeffs
+        coef = np.where(d > 0, p * d ** (p - 1.0), 0.0) * self.coeffs
+        g = (coef[:, :, None] * core).sum(axis=1)
         return f, g
-
-
-def _grad_norms(z: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Row norms of subgradients of the dtype of the iterates ``z``."""
-    if np.iscomplexobj(z):
-        return lambda g: np.sqrt((np.abs(g) ** 2).sum(axis=-1))
-    return lambda g: np.sqrt((g ** 2).sum(axis=-1))
 
 
 def _lower_weighted_median(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -279,8 +269,8 @@ def minimize_barycenter(config: Config,
     Y, the mixture mean, and the origin.  The reported value is the exact
     objective at the best point visited, hence never above the objective at
     any start, and by convexity the iteration converges to the global
-    minimum.  ``config.zero_sum`` restricts iterates to the zero-coordinate-
-    sum hyperplane (Euclidean projection).
+    minimum.  ``config.zero_sum`` restricts iterates to the hyperplane of
+    zero entry sum (Euclidean projection).
 
     When the minimizer has a closed form (p = q = 2: the mixture mean; p = 1
     with real atoms on the real line or l_1 without ``zero_sum``: the
@@ -299,7 +289,7 @@ def minimize_barycenter(config: Config,
         problem = _LqProblem(config)
         closed = problem.closed_form()
     else:
-        problem = _NumericProblem(config)
+        problem = _SvdProblem(config)
         closed = None
 
     both = config.X.stack.concat(config.Y.stack).array
@@ -318,7 +308,6 @@ def minimize_barycenter(config: Config,
     diam = 0.0 if closed else _support_diameter(config)
     iterations = 0
     if diam > 0.0:
-        grad_norms = _grad_norms(z)
         g_best = float(f_best.min())
         z_cur = z.copy()
         for frac, fac in _STAGES:
@@ -340,7 +329,7 @@ def minimize_barycenter(config: Config,
                 iterations += 1
                 if k - last_progress > _STALL_WINDOW:
                     break
-                gn = grad_norms(g)
+                gn = np.sqrt((np.abs(g) ** 2).sum(axis=-1))
                 step = s0 / math.sqrt(k)
                 safe = np.where(gn > 0, gn, 1.0)
                 z_cur = problem.project(z_cur - step * (g / safe[:, None]))

@@ -209,38 +209,34 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 # ----------------------------- check -----------------------------
 
-_CHECKS = ("alpha", "beta", "subadditivity", "laplace", "gaussian",
-           "cosine", "hilbert")
-
-
-def _given(**kwargs) -> dict:
-    """The given keyword arguments; the others keep the callee's defaults."""
-    return {k: v for k, v in kwargs.items() if v is not None}
+# each suite's runner in ``scalar_checks`` (looked up by name when it runs)
+# and the flags it takes, mapped to the runner's keywords
+_CHECKS = {
+    "alpha": ("run_alpha_grid", {"grid": "grid", "tolerance": "tol"}),
+    "beta": ("run_beta_scan", {"grid": "grid"}),
+    "subadditivity": ("run_subadditivity_suite", {"seeds": "seeds"}),
+    "laplace": ("run_laplace_suite", {"seeds": "n_dists", "tolerance": "tol"}),
+    "gaussian": ("run_smoothing_suite", {"seeds": "seeds"}),
+    "cosine": ("run_cosine_suite", {"grid": "n_alphas", "tolerance": "tol"}),
+    "hilbert": ("run_hilbert_suite", {"seeds": "seeds"}),
+}
 
 
 def _cmd_check(ns: argparse.Namespace) -> int:
     name = ns.name
-    grid = _positive("--grid", ns.grid)
-    seeds = _positive("--seeds", ns.seeds)
+    runner, takes = _CHECKS[name]
     tol = ns.tolerance
     if tol is not None and not (tol >= 0):
         raise ValueError(f"--tolerance must be nonnegative; got {tol!r}")
-    if name == "alpha":
-        violations = scalar_checks.run_alpha_grid(**_given(grid=grid, tol=tol))
-    elif name == "beta":
-        violations = scalar_checks.run_beta_scan(**_given(grid=grid))
-    elif name == "subadditivity":
-        violations = scalar_checks.run_subadditivity_suite(**_given(seeds=seeds))
-    elif name == "laplace":
-        violations = scalar_checks.run_laplace_suite(**_given(n_dists=seeds, tol=tol))
-    elif name == "gaussian":
-        violations = scalar_checks.run_smoothing_suite(**_given(seeds=seeds))
-    elif name == "cosine":
-        violations = scalar_checks.run_cosine_suite(**_given(n_alphas=grid, tol=tol))
-    elif name == "hilbert":
-        violations = scalar_checks.run_hilbert_suite(**_given(seeds=seeds))
-    else:
-        raise ValueError(f"unknown check {name!r}")
+    given = {"grid": _positive("--grid", ns.grid),
+             "seeds": _positive("--seeds", ns.seeds), "tolerance": tol}
+    kwargs = {}
+    for flag, value in given.items():
+        if value is not None:
+            if flag not in takes:
+                raise ValueError(f"check {name} takes no --{flag}")
+            kwargs[takes[flag]] = value
+    violations = getattr(scalar_checks, runner)(**kwargs)
     keys: List[str] = sorted({k for v in violations for k in v})
     _write_csv(ns.out, keys or ["check"],
                ([v.get(k, "") for k in keys] for v in violations))

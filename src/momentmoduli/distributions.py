@@ -24,6 +24,7 @@ from .spaces import (
     is_linear,
     json_number,
     pairwise_powered,
+    reject_json_bools,
     space_from_json,
     space_to_json,
     stack_points,
@@ -140,13 +141,14 @@ class FiniteDist:
             raise ValueError("a distribution's 'atoms' and 'probs' are lists")
         weights = None
         if obj.get("weights") is not None:
+            reject_json_bools(obj["weights"], "weights")
             try:
                 weights = np.asarray(obj["weights"], dtype=float)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError("a distribution's 'weights' is a list of numbers; "
                                  f"got {repr(obj['weights'])[:60]}") from None
         atoms = tuple(atom_from_json(space, a, weights) for a in raw_atoms)
-        return cls(space, atoms, _parse_probs(raw_probs))
+        return cls(space, atoms, _parse_probs(reject_json_bools(raw_probs, "probs")))
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ class Config:
     """A pair of independent distributions on a shared space plus exponent p.
 
     ``zero_sum`` restricts barycenter minimization to the hyperplane of
-    vectors with zero coordinate sum (the subspace in which the sup-norm
+    points whose entries sum to zero (the subspace in which the sup-norm
     sharpness configuration lives); it has no effect on distances or moments.
     """
 

@@ -53,6 +53,7 @@ from .spaces import (
     Snowflake,
     Space,
     WeightedLq,
+    _base,
     is_linear,
     pairwise_powered,
     space_to_json,
@@ -106,7 +107,7 @@ class RatioReport:
         return out
 
     def csv_row(self, p: float, space: Space) -> tuple:
-        q = getattr(_base_space(space), "q", "")
+        q = getattr(_base(space), "q", "")
         return (
             self.name, p, q, _space_label(space),
             self.value,
@@ -145,12 +146,6 @@ def _report(name: str, value: float, bound: Optional[float],
 # Bound attachment
 # --------------------------------------------------------------------------
 
-def _base_space(space: Space) -> Space:
-    while isinstance(space, Snowflake):
-        space = space.base
-    return space
-
-
 def _effective_exponent(space: Space, p: float) -> float:
     while isinstance(space, Snowflake):
         p = space.alpha * p
@@ -163,7 +158,7 @@ def _trivial_roundness(e: float) -> float:
 
 
 def _roundness_bound(space: Space, p: float) -> Optional[float]:
-    base = _base_space(space)
+    base = _base(space)
     e = _effective_exponent(space, p)
     if isinstance(base, RealLine):
         cands = [_trivial_roundness(e)]

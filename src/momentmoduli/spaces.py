@@ -55,6 +55,7 @@ __all__ = [
     "space_to_json",
     "space_from_json",
     "json_number",
+    "reject_json_bools",
     "atom_to_json",
     "atom_from_json",
 ]
@@ -566,6 +567,20 @@ def json_number(obj: dict, key: str) -> float:
     raise ValueError(f"field {key!r} must be a number; got {v!r}")
 
 
+def reject_json_bools(obj, field: str):
+    """``obj``, JSON read as numbers, unless it holds a boolean (in nested
+    lists), which ``float`` and numpy read as 0 or 1: that raises a
+    ValueError naming ``field``."""
+    todo = [obj]
+    while todo:                 # no recursion: nesting depth is the input's
+        v = todo.pop()
+        if isinstance(v, bool):
+            raise ValueError(f"field {field!r} takes numbers, not booleans; got {v!r}")
+        if isinstance(v, list):
+            todo.extend(v)
+    return obj
+
+
 def _json_int(obj: dict, key: str) -> int:
     x = json_number(obj, key)
     if not x.is_integer():
@@ -638,6 +653,7 @@ def atom_from_json(space: Space, obj, weights: Optional[np.ndarray] = None) -> P
     """Parse one atom; a malformed atom raises ValueError."""
     if isinstance(space, Snowflake):
         return atom_from_json(space.base, obj, weights)
+    reject_json_bools(obj, "atoms")
     if isinstance(space, RealLine):
         try:
             return float(obj)

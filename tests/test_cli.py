@@ -318,3 +318,49 @@ def test_verify_with_an_exponent_beyond_the_float_range_exits_2(capsys):
     code, _, err = run_cli(["verify", "bipartite", "--n", "2", "--p", "5000"], capsys)
     assert code == 2
     assert "floating-point range" in err
+
+
+_REAL_CONFIG = {
+    "space": {"kind": "real_line"},
+    "X": {"atoms": [1.0, 0.0], "probs": [0.5, 0.5]},
+    "Y": {"atoms": [2.0], "probs": [1.0]},
+    "p": 1.0,
+}
+
+
+@pytest.mark.parametrize("config,field", [
+    ({**_REAL_CONFIG, "X": {"atoms": [1.0, 0.0], "probs": [True, False]}}, "probs"),
+    ({**_REAL_CONFIG, "X": {"atoms": [True, 0.0], "probs": [0.5, 0.5]}}, "atoms"),
+    ({**_LQ_CONFIG, "X": {"atoms": [[[True, 0]]], "probs": [1.0]}}, "atoms"),
+    ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": [1.0], "weights": [True]}},
+     "weights"),
+    ({**_GRAPH_CONFIG, "X": {"atoms": [["L", True]], "probs": [1.0]}}, "atoms"),
+], ids=["probs", "real-atom", "re-im-pair", "weights", "vertex-index"])
+def test_ratio_boolean_where_a_number_is_read_exits_2_naming_the_field(
+        capsys, tmp_path, config, field):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(["ratio", "--config", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert repr(field) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite,flag,value", [
+    ("alpha", "seeds", "3"),
+    ("beta", "seeds", "3"),
+    ("beta", "tolerance", "0"),
+    ("subadditivity", "grid", "3"),
+    ("subadditivity", "tolerance", "0"),
+    ("laplace", "grid", "3"),
+    ("gaussian", "grid", "3"),
+    ("gaussian", "tolerance", "0"),
+    ("cosine", "seeds", "3"),
+    ("hilbert", "grid", "3"),
+    ("hilbert", "tolerance", "0"),
+])
+def test_check_flag_the_suite_does_not_take_exits_2(capsys, suite, flag, value):
+    code, out, err = run_cli(["check", suite, f"--{flag}", value], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: check {suite} takes no --{flag}\n"

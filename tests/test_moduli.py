@@ -14,7 +14,15 @@ from momentmoduli.constructions import (
     make_schatten_parallelogram,
     make_two_point,
 )
-from momentmoduli.distributions import Config, FiniteDist, cross_moment, mean, mixture
+from momentmoduli.barycenter import _SvdProblem
+from momentmoduli.distributions import (
+    Config,
+    FiniteDist,
+    cross_moment,
+    mean,
+    mean_row,
+    mixture,
+)
 from momentmoduli.moduli import (
     DegenerateRatioError,
     all_reports,
@@ -29,6 +37,7 @@ from momentmoduli.moduli import (
 )
 from momentmoduli.spaces import (
     INF,
+    AtomStack,
     BipartiteGraph,
     CVector,
     GraphVertex,
@@ -299,14 +308,94 @@ def test_minimize_barycenter_never_beats_start_invariant(rng):
             barycenter_objective(cfg, cert.z_star), abs=1e-12)
 
 
-def test_minimize_barycenter_numeric_route_schatten():
+def test_minimize_barycenter_schatten_symmetric_pair():
     sp = Schatten(2.0)
     a = CMatrix(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
     b = CMatrix(-a.entries)
     x = FiniteDist.uniform(sp, [a, b])
     cert = minimize_barycenter(Config(sp, x, x, 2.0))
     # symmetric pair: optimum at the zero matrix, value 2 * E||X||^2 = 4
-    assert cert.value == pytest.approx(4.0, rel=1e-5)
+    assert cert.value == pytest.approx(4.0, rel=1e-12)
+
+
+# ------------------------------------------------ SVD subgradients
+
+def _matrix_config(space, p, seed, nx, ny, zero_sum=False):
+    rng = np.random.default_rng(seed)
+    shape = (2, 2) if isinstance(space, Schatten) else (2 * space.n,)
+
+    def law(n):
+        a = rng.normal(size=(n,) + shape) + 1j * rng.normal(size=(n,) + shape)
+        return FiniteDist(space, AtomStack(space, a), rng.dirichlet(np.ones(n)))
+
+    return Config(space, law(nx), law(ny), p, zero_sum)
+
+
+def _objective_at_rows(cfg, rows):
+    return np.array([barycenter_objective(cfg, cfg.X.stack.with_array(r[None]))
+                     for r in rows])
+
+
+def _central_difference(cfg, problem, z, h=1e-6):
+    # the derivative of the kernel objective along the real and the
+    # imaginary part of each entry, read as one complex component
+    g = np.zeros_like(z)
+    for k in range(z.shape[1]):
+        for unit in (1.0, 1j):
+            step = np.zeros_like(z)
+            step[:, k] = h * unit
+            up = _objective_at_rows(cfg, problem.rows(z + step))
+            down = _objective_at_rows(cfg, problem.rows(z - step))
+            g[:, k] += unit * (up - down) / (2.0 * h)
+    return g
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("space", [Schatten(1.0), Schatten(1.5), Schatten(3.0),
+                                   ParallelogramS1(1), ParallelogramS1(2)], ids=str)
+def test_svd_subgradients_match_central_differences(space, p):
+    cfg = _matrix_config(space, p, 21, 3, 2)
+    problem = _SvdProblem(cfg)
+    rng = np.random.default_rng(22)
+    shape = (4,) + cfg.X.stack.array.shape[1:]
+    z = problem.flat(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    f, g = problem.value_and_subgrad(z)
+    assert f == pytest.approx(_objective_at_rows(cfg, problem.rows(z)), rel=1e-12)
+    reference = _central_difference(cfg, problem, z)
+    assert np.abs(g - reference).max() <= 1e-6 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("zero_sum", [False, True])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_schatten2_solves_equal_l2_solves_on_the_flattened_entries(p, zero_sum):
+    # the Schatten-2 norm is the l_2 norm of the entries
+    cfg = _matrix_config(Schatten(2.0), p, 11, 2, 2, zero_sum)
+    l2 = WeightedLq(2.0)
+
+    def flat(law):
+        return FiniteDist(l2, AtomStack(l2, law.stack.array.reshape(len(law.stack), -1)),
+                          law.probs)
+
+    cert = minimize_barycenter(cfg)
+    expected = minimize_barycenter(Config(l2, flat(cfg.X), flat(cfg.Y), p, zero_sum))
+    assert cert.value == pytest.approx(expected.value, rel=1e-9)
+    if zero_sum:
+        assert abs(cert.z_star.entries.sum()) < 1e-9
+
+
+@pytest.mark.parametrize("space,p", [(Schatten(1.0), 1.5), (Schatten(3.0), 1.5),
+                                     (ParallelogramS1(1), 1.0), (ParallelogramS1(1), 2.0)],
+                         ids=str)
+def test_uncapped_svd_solves_have_the_minimizer_properties(space, p):
+    cfg = _matrix_config(space, p, 0, 2, 1)
+    cert = minimize_barycenter(cfg)
+    assert cert.value == barycenter_objective(cfg, cert.z_star)
+    both = np.concatenate([cfg.X.stack.array, cfg.Y.stack.array])
+    starts = np.concatenate([both, mean_row(mixture(cfg.X, cfg.Y))[None],
+                             np.zeros_like(both[:1])])
+    # the solver ranks starts by its SVD values, the kernel may round apart
+    assert np.all(cert.value <= _objective_at_rows(cfg, starts) * (1.0 + 1e-12))
+    assert cert.value >= 2.0 ** (1.0 - p) * cross_moment(cfg.X, cfg.Y, p)
 
 
 def test_barycenter_ratio_examples():
