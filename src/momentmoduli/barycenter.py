@@ -47,10 +47,10 @@ from .spaces import (
     RealLine,
     Space,
     WeightedLq,
-    atom_to_json,
     is_linear,
     pairwise_powered,
     stack_points,
+    stack_to_json,
 )
 
 __all__ = ["BarycenterCert", "barycenter_objective", "minimize_barycenter",
@@ -78,7 +78,7 @@ class BarycenterCert:
             "best_start": self.best_start,
         }
         if space is not None:
-            out["z_star"] = atom_to_json(space, self.z_star)
+            out["z_star"] = stack_to_json(stack_points(space, [self.z_star]))[0]
         return out
 
 
@@ -109,12 +109,20 @@ def mixture_draw_bound(config: Config) -> float:
 class _Problem:
     """Set-up shared by the problem kinds.  Iterates (S, k) are the flattened
     complex entries of stack rows; ``zero_sum`` projects them onto the
-    hyperplane of zero entry sum."""
+    hyperplane of zero entry sum.  Atoms whose largest part leaves
+    [2^-200, 2^200] are solved times ``scale``, the power of two that brings
+    it into [1/2, 1), so that no power of a difference over- or underflows.
+    """
 
     def __init__(self, config: Config):
         both = config.X.stack.concat(config.Y.stack).array
         self._real_line = isinstance(config.space, RealLine)
         self.shape = both.shape[1:]
+        top = max(float(np.abs(both.real).max()), float(np.abs(both.imag).max()))
+        self.scale = 1.0
+        if top > 0.0 and not 2.0 ** -200 <= top <= 2.0 ** 200:
+            # the exponent is clamped so that the factor is a normal float
+            self.scale = 2.0 ** -min(max(math.frexp(top)[1], -1000), 1000)
         self.atoms = self.flat(both)                           # (A, k)
         self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
         self.p = config.p
@@ -123,11 +131,14 @@ class _Problem:
 
     def flat(self, rows: np.ndarray) -> np.ndarray:
         """Iterates from stack rows."""
-        return rows.reshape(len(rows), -1).astype(complex, copy=False)
+        z = rows.reshape(len(rows), -1).astype(complex, copy=False)
+        return z if self.scale == 1.0 else z * self.scale
 
     def rows(self, z: np.ndarray) -> np.ndarray:
         """Stack rows from iterates."""
         rows = z.reshape((len(z),) + self.shape)
+        if self.scale != 1.0:
+            rows = rows / self.scale
         return rows.real if self._real_line else rows
 
     def project(self, z: np.ndarray) -> np.ndarray:
@@ -305,7 +316,7 @@ def minimize_barycenter(config: Config,
     f_best = f0.copy()
     z_best = z.copy()
 
-    diam = 0.0 if closed else _support_diameter(config)
+    diam = 0.0 if closed else _support_diameter(config) * problem.scale
     iterations = 0
     if diam > 0.0:
         g_best = float(f_best.min())

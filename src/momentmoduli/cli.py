@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -113,56 +114,36 @@ def _cmd_ratio(ns: argparse.Namespace) -> int:
 
 # ----------------------------- verify / sweep -----------------------------
 
-def _build_construction(cid: str, n: Optional[int], q: Optional[float],
-                        p: float, eps: Optional[float]):
-    cid = cid.replace("-", "_")
-    if cid == "fn":
-        if n is None or q is None:
-            raise ValueError("fn needs --n and --q")
-        return make_fn(n, q, p)
-    if cid == "bipartite":
-        if n is None:
-            raise ValueError("bipartite needs --n")
-        return make_bipartite(n, p)
-    if cid == "disjoint_bernoulli":
-        if n is None or q is None:
-            raise ValueError("disjoint-bernoulli needs --n and --q")
-        return make_disjoint_bernoulli(n, q, p)
-    if cid == "jensen_two_point":
-        return make_jensen("two_point", p=p)
-    if cid == "jensen_eps":
-        if eps is None:
-            raise ValueError("jensen-eps needs --eps")
-        return make_jensen("eps", p=p, eps=eps)
-    if cid == "jensen_basis":
-        if n is None or q is None:
-            raise ValueError("jensen-basis needs --n and --q")
-        return make_jensen("basis", p=p, n=n, q=q)
-    if cid == "jensen_rademacher":
-        if n is None or q is None:
-            raise ValueError("jensen-rademacher needs --n and --q")
-        return make_jensen("rademacher", p=p, n=n, q=q)
-    if cid == "schatten_parallelogram":
-        if n is None:
-            raise ValueError("schatten-parallelogram needs --n")
-        return make_schatten_parallelogram(n, p)
-    if cid == "two_point":
-        return make_two_point(p)
-    if cid == "eps_atom":
-        if eps is None:
-            raise ValueError("eps-atom needs --eps")
-        return make_eps_atom(eps, p)
-    raise ValueError(f"unknown construction {cid!r}")
+# construction name -> (builder, the flags it needs); the builder takes p and
+# those flags as keywords
+_CONSTRUCTIONS = {
+    "fn": (make_fn, ("n", "q")),
+    "bipartite": (make_bipartite, ("n",)),
+    "disjoint_bernoulli": (make_disjoint_bernoulli, ("n", "q")),
+    "jensen_two_point": (functools.partial(make_jensen, "two_point"), ()),
+    "jensen_eps": (functools.partial(make_jensen, "eps"), ("eps",)),
+    "jensen_basis": (functools.partial(make_jensen, "basis"), ("n", "q")),
+    "jensen_rademacher": (functools.partial(make_jensen, "rademacher"), ("n", "q")),
+    "schatten_parallelogram": (make_schatten_parallelogram, ("n",)),
+    "two_point": (make_two_point, ()),
+    "eps_atom": (make_eps_atom, ("eps",)),
+}
 
 
-def _verify_one(cid, n, q, p, eps) -> tuple:
-    nc = _build_construction(cid, n, q, p, eps)
-    outcome = verify_construction(nc)
-    return nc, outcome
+def _verify_one(name: str, p: float, **flags) -> tuple:
+    cid = name.replace("-", "_")
+    if cid not in _CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {cid!r}")
+    build, needs = _CONSTRUCTIONS[cid]
+    if any(flags[f] is None for f in needs):
+        raise ValueError(f"{cid.replace('_', '-')} needs "
+                         + " and ".join(f"--{f}" for f in needs))
+    nc = build(p=p, **{f: flags[f] for f in needs})
+    return nc, verify_construction(nc)
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    nc, outcome = _verify_one(ns.construction, ns.n, ns.q, ns.p, ns.eps)
+    nc, outcome = _verify_one(ns.construction, ns.p, n=ns.n, q=ns.q, eps=ns.eps)
     slack = outcome.computed - nc.predicted
     print(f"construction: {nc.id}  params: {nc.params}")
     print(f"predicted ({nc.prediction_kind}): {_fmt(nc.predicted)}")
@@ -189,7 +170,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         for n in nsv:
             for q in qs:
                 for eps in epss:
-                    nc, outcome = _verify_one(ns.construction, n, q, p, eps)
+                    nc, outcome = _verify_one(ns.construction, p, n=n, q=q, eps=eps)
                     rows.append((
                         nc.id, p,
                         "" if n is None else n,

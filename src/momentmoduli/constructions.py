@@ -38,7 +38,6 @@ __all__ = [
     "make_two_point",
     "computed_ratio",
     "verify_construction",
-    "CONSTRUCTION_IDS",
 ]
 
 EXACT = "exact"
@@ -47,11 +46,11 @@ LOWER_BOUND = "lower_bound"
 # ids whose check runs the barycenter solver (looser verification tolerance)
 _SOLVER_IDS = frozenset({"fn_inf", "fn_q", "two_point", "eps_atom"})
 
-CONSTRUCTION_IDS = (
-    "fn_inf", "fn_q", "bipartite", "disjoint_bernoulli",
-    "jensen_two_point", "jensen_eps", "jensen_basis", "jensen_rademacher",
-    "schatten_parallelogram", "two_point", "eps_atom",
-)
+# verification tolerances: relative for exact predictions (looser through the
+# solver), absolute below a lower-bound prediction
+_RTOL_EXACT = 1e-6
+_RTOL_SOLVER = 1e-4
+_LOWER_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -344,21 +343,18 @@ def computed_ratio(nc: NamedConstruction) -> float:
     raise ValueError(f"unknown construction id {cid!r}")
 
 
-def verify_construction(nc: NamedConstruction,
-                        rtol_exact: float = 1e-6,
-                        rtol_solver: float = 1e-4,
-                        lower_slack: float = 1e-7) -> VerifyOutcome:
+def verify_construction(nc: NamedConstruction) -> VerifyOutcome:
     """Compare predicted and computed ratios.
 
-    Exact predictions must agree to a relative tolerance (looser when the
+    Exact predictions must agree to a relative tolerance, 1e-6 (1e-4 when the
     barycenter solver is involved); lower-bound predictions require
-    computed >= predicted - lower_slack.
+    computed >= predicted - 1e-7.
     """
     computed = computed_ratio(nc)
     if nc.prediction_kind == LOWER_BOUND:
-        ok = computed >= nc.predicted - lower_slack
-        tol = lower_slack
+        ok = computed >= nc.predicted - _LOWER_SLACK
+        tol = _LOWER_SLACK
     else:
-        tol = rtol_solver if nc.id in _SOLVER_IDS else rtol_exact
+        tol = _RTOL_SOLVER if nc.id in _SOLVER_IDS else _RTOL_EXACT
         ok = abs(computed - nc.predicted) <= tol * max(1.0, abs(nc.predicted))
     return VerifyOutcome(nc, computed, ok, tol)

@@ -19,15 +19,15 @@ from .spaces import (
     Space,
     Point,
     RealLine,
-    atom_from_json,
-    atom_to_json,
     is_linear,
     json_number,
     pairwise_powered,
     reject_json_bools,
     space_from_json,
     space_to_json,
+    stack_from_json,
     stack_points,
+    stack_to_json,
 )
 
 __all__ = [
@@ -62,10 +62,10 @@ def _parse_probs(raw) -> np.ndarray:
 class FiniteDist:
     """Probability distribution with finitely many atoms in one space.
 
-    ``atoms`` is a sequence of points or an :class:`AtomStack`.  Either way
-    the law keeps its atoms stacked in ``stack``, checked once here; the
-    moment functionals and the search work on that stack.  For a law built
-    from a stack, the point objects in ``atoms`` are made on first use.
+    ``atoms`` is a sequence of points or an :class:`AtomStack`.  The law
+    stores its atoms only as the AtomStack ``stack``, checked once here, on
+    which the moments and the search work; read back, ``atoms`` are point
+    objects made from the stack on first use.
     """
 
     space: Space
@@ -86,16 +86,13 @@ class FiniteDist:
         if not abs(float(probs.sum()) - 1.0) <= _PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         stack = stack_points(self.space, atoms)
-        if atoms is stack:
-            object.__delattr__(self, "atoms")
-        else:
-            object.__setattr__(self, "atoms", atoms)
+        object.__delattr__(self, "atoms")
         probs.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "probs", probs)
 
     def __getattr__(self, name: str):
-        # only reached for the atoms of a law built from a stack
+        # only reached for ``atoms``, which are made from the stack on first use
         if name != "atoms" or "stack" not in self.__dict__:
             raise AttributeError(name)
         atoms = self.stack.points()
@@ -116,7 +113,7 @@ class FiniteDist:
     def to_json(self) -> dict:
         out = {
             "space": space_to_json(self.space),
-            "atoms": [atom_to_json(self.space, a) for a in self.atoms],
+            "atoms": stack_to_json(self.stack),
             "probs": [float(p) for p in self.probs],
         }
         w = self.stack.weights
@@ -147,8 +144,8 @@ class FiniteDist:
             except (TypeError, ValueError, OverflowError):
                 raise ValueError("a distribution's 'weights' is a list of numbers; "
                                  f"got {repr(obj['weights'])[:60]}") from None
-        atoms = tuple(atom_from_json(space, a, weights) for a in raw_atoms)
-        return cls(space, atoms, _parse_probs(reject_json_bools(raw_probs, "probs")))
+        stack = stack_from_json(space, raw_atoms, weights)
+        return cls(space, stack, _parse_probs(reject_json_bools(raw_probs, "probs")))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ import numpy as np
 __all__ = ["gl_panel", "integrate_log_endpoint", "integrate_segment"]
 
 
+# dyadic refinement levels toward a singular endpoint, and nodes per panel
+_LEVELS = 48
+_NODES = 16
+
+
 @lru_cache(maxsize=None)
 def _rule(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -27,8 +32,7 @@ def gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def integrate_log_endpoint(f, a: float, b: float, *, levels: int = 48,
-                           nodes: int = 16) -> float:
+def integrate_log_endpoint(f, a: float, b: float) -> float:
     """Integrate f over [a, b] when f may have a log singularity at ``a``.
 
     Dyadic panels [a + h 2^{-k-1}, a + h 2^{-k}] shrink toward ``a``.
@@ -46,10 +50,10 @@ def integrate_log_endpoint(f, a: float, b: float, *, levels: int = 48,
     total = 0.0
     k = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        while k < levels:
+        while k < _LEVELS:
             lo = a + h * 0.5 ** (k + 1)
             hi = a + h * 0.5 ** k
-            val = gl_panel(f, lo, hi, nodes)
+            val = gl_panel(f, lo, hi, _NODES)
             if not math.isfinite(val):
                 break
             total += val
@@ -67,15 +71,14 @@ def integrate_log_endpoint(f, a: float, b: float, *, levels: int = 48,
     return total
 
 
-def integrate_segment(f, a: float, b: float, *, levels: int = 48,
-                      nodes: int = 16) -> float:
+def integrate_segment(f, a: float, b: float) -> float:
     """Integrate over [a, b] allowing log singularities at either endpoint:
     split at the midpoint and refine dyadically toward both ends."""
     mid = 0.5 * (a + b)
-    left = integrate_log_endpoint(f, a, mid, levels=levels, nodes=nodes)
+    left = integrate_log_endpoint(f, a, mid)
 
     def flipped(u: np.ndarray) -> np.ndarray:
         return f(b - (u - mid))
 
-    right = integrate_log_endpoint(flipped, mid, b, levels=levels, nodes=nodes)
+    right = integrate_log_endpoint(flipped, mid, b)
     return left + right

@@ -46,6 +46,12 @@ __all__ = [
 
 _RL = RealLine()
 
+# relative allowances for rounding in the exact-sum checks, and the most atoms
+# of a random law
+_SUBADDITIVITY_TOL = 1e-10
+_EXACT_TOL = 1e-12
+_MAX_ATOMS = 4
+
 
 def _real_law(atoms: np.ndarray, probs: np.ndarray) -> FiniteDist:
     return FiniteDist(_RL, AtomStack(_RL, atoms), probs)
@@ -131,8 +137,7 @@ def beta_ratio(beta: float, q: float) -> float:
     return num / den
 
 
-def check_subadditivity(x: FiniteDist, y: FiniteDist, q: float,
-                        tol: float = 1e-10) -> Tuple[float, float, bool]:
+def check_subadditivity(x: FiniteDist, y: FiniteDist, q: float) -> Tuple[float, float, bool]:
     """E|X+Y|^q vs E|X|^q + E|Y|^q for independent mean-zero real X, Y.
 
     Returns (lhs, rhs, holds); inputs that are not centered to 1e-12 are
@@ -147,7 +152,7 @@ def check_subadditivity(x: FiniteDist, y: FiniteDist, q: float,
     lhs = float((joint * np.abs(s) ** q).sum())
     rhs = float((xp * np.abs(xa) ** q).sum() + (yp * np.abs(ya) ** q).sum())
     scale = max(1.0, abs(lhs), abs(rhs))
-    return lhs, rhs, lhs >= rhs - tol * scale
+    return lhs, rhs, lhs >= rhs - _SUBADDITIVITY_TOL * scale
 
 
 # --------------------------------------------------------------------------
@@ -187,15 +192,15 @@ def laplace_log_identity(w: FiniteDist) -> Tuple[float, float]:
     return lhs, total
 
 
-def gaussian_smoothing_check(x: FiniteDist, y: FiniteDist, s: float,
-                             tol: float = 1e-12) -> Tuple[float, float, bool]:
+def gaussian_smoothing_check(x: FiniteDist, y: FiniteDist,
+                             s: float) -> Tuple[float, float, bool]:
     """E e^{-s (Z - Z')^2} >= E e^{-s (X - Y)^2} with Z the mixture of the
     laws of X and Y on the real line; both sides are exact finite sums."""
-    return _smoothing_sides(x, y, mixture(x, y), s, tol)
+    return _smoothing_sides(x, y, mixture(x, y), s)
 
 
-def _smoothing_sides(x: FiniteDist, y: FiniteDist, z: FiniteDist, s: float,
-                     tol: float = 1e-12) -> Tuple[float, float, bool]:
+def _smoothing_sides(x: FiniteDist, y: FiniteDist, z: FiniteDist,
+                     s: float) -> Tuple[float, float, bool]:
     """The smoothing check with the mixture ``z`` of ``x`` and ``y`` given."""
     if s < 0:
         raise ValueError("s must be nonnegative")
@@ -206,7 +211,7 @@ def _smoothing_sides(x: FiniteDist, y: FiniteDist, z: FiniteDist, s: float,
     lhs = float(zp @ np.exp(-s * dz ** 2) @ zp)
     dxy = xa[:, None] - ya[None, :]
     rhs = float(xp @ np.exp(-s * dxy ** 2) @ yp)
-    return lhs, rhs, lhs >= rhs - tol * max(1.0, abs(lhs), abs(rhs))
+    return lhs, rhs, lhs >= rhs - _EXACT_TOL * max(1.0, abs(lhs), abs(rhs))
 
 
 def log_abs_cos_moment(t: float) -> float:
@@ -242,13 +247,8 @@ def cosine_log_moment(alpha: float) -> float:
 # Quadratic (Hilbert-case) Parseval inequalities
 # --------------------------------------------------------------------------
 
-def verify_scalar_hilbert(
-    f: KernelMatrix,
-    variant: str,
-    alpha: complex = 0.5,
-    beta: complex = 0.5,
-    tol: float = 1e-12,
-) -> Tuple[float, float, bool]:
+def verify_scalar_hilbert(f: KernelMatrix, variant: str, alpha: complex = 0.5,
+                          beta: complex = 0.5) -> Tuple[float, float, bool]:
     """lhs >= rhs instances of the quadratic kernel inequalities.
 
     variant "roundness": 2 ||f||^2 against the two marginal-difference terms.
@@ -282,7 +282,7 @@ def verify_scalar_hilbert(
         rhs = float(mu @ np.abs(anti) ** 2)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return lhs, rhs, lhs >= rhs - tol * max(1.0, abs(lhs), abs(rhs))
+    return lhs, rhs, lhs >= rhs - _EXACT_TOL * max(1.0, abs(lhs), abs(rhs))
 
 
 # --------------------------------------------------------------------------
@@ -292,12 +292,11 @@ def verify_scalar_hilbert(
 # the property held everywhere it was probed.
 # --------------------------------------------------------------------------
 
-def random_centered_pair(rng: np.random.Generator,
-                         max_atoms: int = 4) -> Tuple[FiniteDist, FiniteDist]:
-    """Two independent mean-zero real laws with 2..max_atoms atoms."""
+def random_centered_pair(rng: np.random.Generator) -> Tuple[FiniteDist, FiniteDist]:
+    """Two independent mean-zero real laws with 2..4 atoms."""
 
     def one() -> FiniteDist:
-        m = int(rng.integers(2, max_atoms + 1))
+        m = int(rng.integers(2, _MAX_ATOMS + 1))
         atoms = rng.normal(size=m)
         probs = rng.dirichlet(np.ones(m))
         return _real_law(atoms - probs @ atoms, probs)
@@ -305,9 +304,8 @@ def random_centered_pair(rng: np.random.Generator,
     return one(), one()
 
 
-def random_positive_dist(rng: np.random.Generator,
-                         max_atoms: int = 4) -> FiniteDist:
-    m = int(rng.integers(1, max_atoms + 1))
+def random_positive_dist(rng: np.random.Generator) -> FiniteDist:
+    m = int(rng.integers(1, _MAX_ATOMS + 1))
     return _real_law(np.exp(rng.normal(size=m)), rng.dirichlet(np.ones(m)))
 
 

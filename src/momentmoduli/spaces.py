@@ -19,16 +19,17 @@ space kinds:
   shortest-path metric (0 / 1 / 2).
 * ``RealLine``        -- scalars under the absolute value.
 
-The atoms of one distribution live in an :class:`AtomStack`: one array,
-checked once when it is built (``stack_points`` builds it from point
-objects).  ``pairwise_powered`` runs one batched kernel per space kind on two
-stacks; a plain sequence of points is checked and stacked first.
+The atoms of one distribution live in an :class:`AtomStack`, one array whose
+row values are checked there and nowhere else.  JSON atoms go straight into a
+stack and back (``stack_from_json``, ``stack_to_json``); ``stack_points``
+stacks point objects, checking only their type, and ``validate_point`` is its
+one-point form.  ``pairwise_powered`` runs one batched kernel per space kind
+on two stacks, and ``distance`` is its one-pair form.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -56,8 +57,8 @@ __all__ = [
     "space_from_json",
     "json_number",
     "reject_json_bools",
-    "atom_to_json",
-    "atom_from_json",
+    "stack_to_json",
+    "stack_from_json",
 ]
 
 INF = float("inf")
@@ -88,23 +89,11 @@ class CVector:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        # copy on construction: freezing a caller-owned array in place would
-        # leak the read-only flag back to the caller
-        e = np.array(self.entries, dtype=complex)
-        if e.ndim != 1 or e.size == 0:
-            raise ValueError("CVector needs at least one entry in a 1-d array")
-        if not np.all(np.isfinite(e.real)) or not np.all(np.isfinite(e.imag)):
-            raise ValueError("CVector entries must be finite")
-        if self.weights is None:
-            w = np.ones(e.size)
-        else:
-            w = np.array(self.weights, dtype=float)
-        if w.shape != e.shape:
-            raise ValueError("weights must match entries in length")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and nonnegative")
-        object.__setattr__(self, "entries", _readonly(e))
-        object.__setattr__(self, "weights", _readonly(w))
+        # the checks of a one-row stack, on a private copy: freezing a
+        # caller-owned array in place would leak the read-only flag back
+        row = AtomStack(WeightedLq(1.0), [self.entries], self.weights)
+        object.__setattr__(self, "entries", row.array[0])
+        object.__setattr__(self, "weights", row.weights)
 
     @property
     def dim(self) -> int:
@@ -139,12 +128,8 @@ class CMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise ValueError("CMatrix must be square and nonempty")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise ValueError("CMatrix entries must be finite")
-        object.__setattr__(self, "entries", _readonly(a))
+        # the checks of a one-matrix stack, on a private copy
+        object.__setattr__(self, "entries", AtomStack(Schatten(1.0), [self.entries]).array[0])
 
     @property
     def dim(self) -> int:
@@ -240,39 +225,8 @@ def is_linear(space: Space) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Point validation and dispatch
+# Stacks: the checked form of a distribution's atoms
 # --------------------------------------------------------------------------
-
-def validate_point(space: Space, x: Point) -> None:
-    if isinstance(space, Snowflake):
-        validate_point(space.base, x)
-        return
-    if isinstance(space, WeightedLq):
-        if not isinstance(x, CVector):
-            raise SpaceMismatchError("WeightedLq points are CVectors")
-    elif isinstance(space, Schatten):
-        if not isinstance(x, CMatrix):
-            raise SpaceMismatchError("Schatten points are CMatrix values")
-    elif isinstance(space, ParallelogramS1):
-        if not isinstance(x, CVector):
-            raise SpaceMismatchError("ParallelogramS1 points are CVectors")
-        if x.dim != 2 * space.n:
-            raise SpaceMismatchError("ParallelogramS1 points have length 2n")
-        if not np.all(x.weights == 1.0):
-            raise SpaceMismatchError("ParallelogramS1 points carry unit weights")
-    elif isinstance(space, BipartiteGraph):
-        if not isinstance(x, GraphVertex):
-            raise SpaceMismatchError("BipartiteGraph points are GraphVertex values")
-        if x.index >= space.n:
-            raise SpaceMismatchError("vertex index out of range")
-    elif isinstance(space, RealLine):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise SpaceMismatchError("RealLine points are real scalars")
-        if not math.isfinite(x):
-            raise SpaceMismatchError("RealLine points must be finite")
-    else:
-        raise SpaceMismatchError(f"unknown space kind {space!r}")
-
 
 def _base(space: Space) -> Space:
     while isinstance(space, Snowflake):
@@ -281,7 +235,8 @@ def _base(space: Space) -> Space:
 
 
 def _check_rows(space: Space, a: np.ndarray) -> None:
-    """Batched form of the per-point checks on the rows of a stack."""
+    """The one check of row values: shape, finiteness, the 2n length of
+    ParallelogramS1 rows and the side and range of graph vertices."""
     if a.ndim == 0 or a.shape[0] == 0:
         raise ValueError("a stack needs at least one atom")
     if isinstance(space, BipartiteGraph):
@@ -302,7 +257,7 @@ def _check_rows(space: Space, a: np.ndarray) -> None:
         return
     if isinstance(space, Schatten):
         if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
-            raise ValueError("Schatten atoms stack as an (n, m, m) array")
+            raise ValueError("CMatrix must be square and nonempty")
         if not np.isfinite(a).all():
             raise ValueError("CMatrix entries must be finite")
         return
@@ -414,11 +369,37 @@ class AtomStack:
         return tuple(CVector(row, self.weights) for row in a)
 
 
-def stack_points(space: Space, pts) -> AtomStack:
-    """Check each point against ``space`` and stack them into one array.
+# the point type of each space kind, with the message for a point of another type
+_POINT_TYPES = {
+    WeightedLq: (CVector, "WeightedLq points are CVectors"),
+    ParallelogramS1: (CVector, "ParallelogramS1 points are CVectors"),
+    Schatten: (CMatrix, "Schatten points are CMatrix values"),
+    BipartiteGraph: (GraphVertex, "BipartiteGraph points are GraphVertex values"),
+    RealLine: ((int, float), "RealLine points are real scalars"),
+}
 
-    The points must share one dimension and, for vector kinds, one weight
-    vector; that is checked here once rather than on every kernel call.  An
+_SIDES = {"L": 1, "R": 0}
+
+
+def _vertex_rows(space: BipartiteGraph, pairs) -> np.ndarray:
+    """``(is_L, index)`` rows from ``(side, index)`` pairs; a bad side becomes
+    -1 and an index is clipped to [-1, n], which the row checks reject."""
+    return np.array([(_SIDES.get(str(side), -1), min(max(index, -1), space.n))
+                     for side, index in pairs], dtype=np.int64)
+
+
+def _stack_rows(rows: list) -> np.ndarray:
+    """One array from the per-atom arrays of one distribution."""
+    shape = rows[0].shape
+    if any(r.shape != shape for r in rows):
+        raise ValueError("all atoms of one distribution must share one dimension; "
+                         f"got shapes {sorted({r.shape for r in rows})}")
+    return np.stack(rows)
+
+
+def stack_points(space: Space, pts) -> AtomStack:
+    """Stack point objects of the space's point type, sharing one shape and,
+    for vector kinds, one weight vector, into one AtomStack on ``space``.  An
     AtomStack already checked on ``space`` is returned as it is.
     """
     base = _base(space)
@@ -427,25 +408,31 @@ def stack_points(space: Space, pts) -> AtomStack:
             raise SpaceMismatchError(
                 f"atoms were checked on {pts.space!r}, not on {base!r}")
         return pts
+    if type(base) not in _POINT_TYPES:
+        raise SpaceMismatchError(f"unknown space kind {base!r}")
     if len(pts) == 0:
         raise ValueError("a stack needs at least one atom")
+    kind, message = _POINT_TYPES[type(base)]
     for x in pts:
-        validate_point(base, x)
+        if isinstance(x, bool) or not isinstance(x, kind):
+            raise SpaceMismatchError(message)
     if isinstance(base, RealLine):
         return AtomStack(base, np.array(pts, dtype=float))
     if isinstance(base, BipartiteGraph):
-        return AtomStack(base, np.array([(v.side == "L", v.index) for v in pts]))
-    shape = pts[0].entries.shape
-    if any(x.entries.shape != shape for x in pts):
-        raise ValueError("all atoms of one distribution must share one dimension; "
-                         f"got shapes {sorted({x.entries.shape for x in pts})}")
-    array = np.stack([x.entries for x in pts])
+        return AtomStack(base, _vertex_rows(base, [(v.side, v.index) for v in pts]))
+    array = _stack_rows([x.entries for x in pts])
     if isinstance(base, Schatten):
         return AtomStack(base, array)
     w = pts[0].weights
     if not (np.stack([x.weights for x in pts]) == w).all():
         raise ValueError("all atoms of one distribution must share weights")
     return AtomStack(base, array, w)
+
+
+def validate_point(space: Space, x: Point) -> None:
+    """Check one point against ``space``: the one-point form of
+    ``stack_points``."""
+    stack_points(space, [x])
 
 
 def _lq_powered(absd: np.ndarray, w: np.ndarray, q: float, p: float) -> np.ndarray:
@@ -624,51 +611,63 @@ def space_from_json(obj: dict) -> Space:
     raise ValueError(f"unknown space kind {kind!r}")
 
 
-def atom_to_json(space: Space, x: Point):
-    if isinstance(space, Snowflake):
-        return atom_to_json(space.base, x)
-    if isinstance(space, RealLine):
-        return float(x)
-    if isinstance(space, BipartiteGraph):
-        return [x.side, x.index]
-    if isinstance(space, Schatten):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in x.entries]
-    return [[float(v.real), float(v.imag)] for v in x.entries]
+def stack_to_json(stack: AtomStack) -> list:
+    """The atoms of ``stack`` as the JSON list that ``stack_from_json`` reads."""
+    a = stack.array
+    if isinstance(stack.space, RealLine):
+        return a.tolist()
+    if isinstance(stack.space, BipartiteGraph):
+        return [["L" if is_l else "R", index] for is_l, index in a.tolist()]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _complex_from_pairs(obj, ndim: int, what: str) -> np.ndarray:
+def _complex_from_pairs(obj, ndim: int) -> np.ndarray:
     """Complex array from nested ``[re, im]`` pairs, ``ndim`` levels deep."""
     try:
         a = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
         a = None
     if a is None or a.ndim != ndim + 1 or a.shape[-1] != 2:
+        what = "schatten" if ndim == 2 else "vector"
         raise ValueError(f"{what} atoms are {'rows of ' * (ndim - 1)}lists of "
                          f"[re, im] pairs; got {repr(obj)[:60]}")
     # reinterpreting the (re, im) pairs keeps every bit, signed zeros included
     return np.ascontiguousarray(a).view(complex)[..., 0]
 
 
-def atom_from_json(space: Space, obj, weights: Optional[np.ndarray] = None) -> Point:
-    """Parse one atom; a malformed atom raises ValueError."""
-    if isinstance(space, Snowflake):
-        return atom_from_json(space.base, obj, weights)
-    reject_json_bools(obj, "atoms")
-    if isinstance(space, RealLine):
-        try:
-            return float(obj)
-        except (TypeError, OverflowError):
-            raise ValueError(f"real_line atoms are numbers; got {obj!r}") from None
-    if isinstance(space, BipartiteGraph):
-        try:
-            side, index = obj
-            if isinstance(index, float) and not index.is_integer():
-                raise ValueError
-            index = int(index)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("graph atoms are [side, index] pairs with an integer "
-                             f"index; got {obj!r}") from None
-        return GraphVertex(str(side), index)
-    if isinstance(space, Schatten):
-        return CMatrix(_complex_from_pairs(obj, 2, "schatten"))
-    return CVector(_complex_from_pairs(obj, 1, "vector"), weights)
+def _real_from_json(obj) -> float:
+    try:
+        return float(obj)
+    except (TypeError, OverflowError):
+        raise ValueError(f"real_line atoms are numbers; got {obj!r}") from None
+
+
+def _vertex_from_json(obj) -> tuple:
+    try:
+        side, index = obj
+        if isinstance(index, float) and not index.is_integer():
+            raise ValueError
+        return side, int(index)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("graph atoms are [side, index] pairs with an integer "
+                         f"index; got {obj!r}") from None
+
+
+def stack_from_json(space: Space, atoms: list,
+                    weights: Optional[np.ndarray] = None) -> AtomStack:
+    """The AtomStack of one distribution's JSON atoms on ``space``: numbers on
+    the real line, ``[side, index]`` pairs on a bipartite graph, ``[re, im]``
+    pairs per coordinate (in rows, for Schatten) otherwise.  ``weights`` is
+    the vector kinds' shared weight vector; the other kinds ignore it.
+    """
+    base = _base(space)
+    reject_json_bools(atoms, "atoms")
+    if len(atoms) == 0:
+        raise ValueError("a distribution needs at least one atom")
+    if isinstance(base, RealLine):
+        return AtomStack(base, [_real_from_json(a) for a in atoms])
+    if isinstance(base, BipartiteGraph):
+        return AtomStack(base, _vertex_rows(base, [_vertex_from_json(a) for a in atoms]))
+    matrix = isinstance(base, Schatten)
+    rows = _stack_rows([_complex_from_pairs(a, 2 if matrix else 1) for a in atoms])
+    return AtomStack(base, rows, None if matrix else weights)

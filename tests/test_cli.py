@@ -302,8 +302,15 @@ _GRAPH_CONFIG = {
     ({**_GRAPH_CONFIG, "X": {"atoms": [["L", 1e400]], "probs": [1.0]}}, "integer index"),
     ({"space": {"kind": "real_line"}, "X": {"atoms": [10 ** 400], "probs": [1.0]},
       "Y": {"atoms": [0.0], "probs": [1.0]}, "p": 1.0}, "real_line atoms"),
+    ({**_GRAPH_CONFIG, "X": {"atoms": [["L", 10 ** 30]], "probs": [1.0]}}, "out of range"),
+    ({**_GRAPH_CONFIG, "X": {"atoms": [["Q", 0]], "probs": [1.0]}}, "side"),
+    ({"space": {"kind": "schatten", "q": 2.0},
+      "X": {"atoms": [[[[1, 0], [0, 0]]]], "probs": [1.0]},
+      "Y": {"atoms": [[[[0, 0], [1, 0]]]], "probs": [1.0]}, "p": 1.0}, "square"),
+    ({**_LQ_CONFIG, "X": {"atoms": [], "probs": []}}, "at least one atom"),
 ], ids=["p-overflows-the-bounds", "prob-nan", "prob-huge-int", "weights-object",
-        "vertex-index-fraction", "vertex-index-inf", "real-atom-huge-int"])
+        "vertex-index-fraction", "vertex-index-inf", "real-atom-huge-int",
+        "vertex-index-huge-int", "vertex-side", "schatten-non-square", "no-atoms"])
 def test_ratio_out_of_range_or_malformed_values_exit_2(capsys, tmp_path, config, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from momentmoduli.cli import _CONSTRUCTIONS
 from momentmoduli.constructions import (
-    CONSTRUCTION_IDS,
     computed_ratio,
     make_bipartite,
     make_disjoint_bernoulli,
@@ -264,7 +264,12 @@ def test_construction_ids_all_buildable():
         "two_point": lambda: make_two_point(1.0),
         "eps_atom": lambda: make_eps_atom(0.5, 2.0),
     }
-    assert set(builders) == set(CONSTRUCTION_IDS)
+    # every id is reachable through a CLI construction name (fn_inf through
+    # fn at q = inf)
+    flags = {"n": 2, "q": 2.0, "eps": 0.5}
+    via_cli = {build(p=2.0, **{f: flags[f] for f in needs}).id
+               for build, needs in _CONSTRUCTIONS.values()}
+    assert set(builders) == via_cli | {"fn_inf"}
     for cid, build in builders.items():
         nc = build()
         assert nc.id == cid

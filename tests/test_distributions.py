@@ -285,6 +285,97 @@ def test_config_json_missing_field_named():
         FiniteDist.from_json({"space": {"kind": "real_line"}, "atoms": [0.0]})
 
 
+# one configuration per space kind, with entries that keep their sign bit
+# (-0.0), weights, decimal-string probabilities and integer-valued numbers
+_JSON_CONFIGS = {
+    "lq_weights": {
+        "space": {"kind": "weighted_lq", "q": 3.0},
+        "X": {"atoms": [[[1.5, -0.0], [0.25, 2.0]], [[-1.0, 0.5], [0.0, 0.0]]],
+              "probs": ["0.25", "0.75"], "weights": [0.5, 2.0]},
+        "Y": {"atoms": [[[0.0, 1.0], [-3.0, 0.125]]], "probs": [1.0],
+              "weights": [0.5, 2.0]},
+        "p": 1.5},
+    "lq_inf": {
+        "space": {"kind": "weighted_lq", "q": "inf"},
+        "X": {"atoms": [[[1, 0], [0, 0], [-2, 0]], [[0, 0], [1, 0], [0, 1]]],
+              "probs": [0.5, 0.5]},
+        "Y": {"atoms": [[[0, 1], [0, 0], [1, 1]]], "probs": [1.0]},
+        "p": 2.0, "zero_sum": True},
+    "schatten": {
+        "space": {"kind": "schatten", "q": 1.5},
+        "X": {"atoms": [[[[1, 0], [0, 1]], [[0.5, 0], [-1, 0]]],
+                        [[[0, 0], [2, 0]], [[0, -1], [0, 0]]]],
+              "probs": [0.4, 0.6]},
+        "Y": {"atoms": [[[[0, 1], [0, 0]], [[0, 0], [1, 0]]]], "probs": [1.0]},
+        "p": 1.0},
+    "s1par": {
+        "space": {"kind": "parallelogram_s1", "n": 1},
+        "X": {"atoms": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "probs": [0.5, 0.5]},
+        "Y": {"atoms": [[[0.5, 0.5], [0.5, -0.5]]], "probs": [1.0]},
+        "p": 2.0},
+    "snowflake": {
+        "space": {"kind": "snowflake", "alpha": 0.5,
+                  "base": {"kind": "weighted_lq", "q": 2.0}},
+        "X": {"atoms": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "probs": [0.5, 0.5]},
+        "Y": {"atoms": [[[0, 0], [0, 0]], [[1, 0], [1, 0]]], "probs": [0.3, 0.7]},
+        "p": 2.0},
+    "graph": {
+        "space": {"kind": "bipartite_graph", "n": 3},
+        "X": {"atoms": [["L", 0], ["L", 1], ["R", 2]], "probs": [0.25, 0.25, 0.5]},
+        "Y": {"atoms": [["R", 0], ["R", 1.0]], "probs": [0.5, 0.5]},
+        "p": 1.0},
+    "real": {
+        "space": {"kind": "real_line"},
+        "X": {"atoms": [1, -0.0, 2.5], "probs": ["0.2", "0.3", "0.5"]},
+        "Y": {"atoms": [0.75, -3], "probs": [0.5, 0.5]},
+        "p": 1.5},
+}
+
+
+# sha256 of json.dumps(Config.from_json(obj).to_json()) and of the bytes of
+# both laws' stacks (array, then weights where the kind has them)
+_JSON_GOLDEN = {
+    "graph": ("8f1edc5539401926d984ee08a8802d02fd497aafd8cf38287fcdd9d5f0c175e5",
+             "e8844b943e96e692ea60ccf698aee77f23c90e9b5fc62db1ad7476599b27aee3"),
+    "lq_inf": ("a5b56a301a724c6dcd34ab479f735cb324f1b7391ea28c135cbb2b2a1a35bb6a",
+              "a5d167721c85d7e8ab5dd28474031e36f135e5cd9039caed3264eb181ccabb4c"),
+    "lq_weights": ("50a829a59295f3a94fa56210c3a64084fa203340d668cf999bc317ff42338eac",
+                  "43891d34460b81da3ad0e5ad46b56d91d65a28f3a26e75c2539b8d1992f84eb1"),
+    "real": ("14098c300671b50cc20658d9047b40e8b85e57c2c3bba52fd68d51d2bf5353ec",
+            "40b7dfc1ecb77cc51b3c6fea4854cd69cfe1f35fe8a28547c5705191dec34684"),
+    "s1par": ("d2fe4bec230b79f957a2bb79e71319541e8b21a99e59bb04def692b5a3320b99",
+             "671db3cf0e7ec16f77eb037c28a84ec482bd0b4e4f8ce748dfa9811c33e100ab"),
+    "schatten": ("bc0ad7c9145599eea1af66cd00d47773c792e4d7356854bd5b58871a233cf1cb",
+                "f26578a27087c41b1d949827d87a6beb804371b2b63bf75e45832ae39a3b51dc"),
+    "snowflake": ("22adb4dd9bfc002bcd211631108cc178f78074b6f9cb66c3156ca7f0b537eff4",
+                 "39eff7a207f09d1b47cdc8d13df7b55d246636c4f6310328d6f8e02acb0afe9e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_CONFIGS))
+def test_config_json_and_stacks_are_golden(name):
+    cfg = Config.from_json(json.loads(json.dumps(_JSON_CONFIGS[name])))
+    stacks = hashlib.sha256()
+    for law in (cfg.X, cfg.Y):
+        stacks.update(law.stack.array.tobytes())
+        if law.stack.weights is not None:
+            stacks.update(law.stack.weights.tobytes())
+    out = json.dumps(cfg.to_json())
+    assert (hashlib.sha256(out.encode()).hexdigest(), stacks.hexdigest()) \
+        == _JSON_GOLDEN[name]
+    assert Config.from_json(json.loads(out)).to_json() == cfg.to_json()
+
+
+def test_config_from_json_builds_no_point_objects(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    for kind in (CVector, CMatrix, GraphVertex):
+        monkeypatch.setattr(kind, "__post_init__", refuse)
+    for obj in _JSON_CONFIGS.values():
+        Config.from_json(obj).to_json()
+
+
 def test_cross_moment_zero_iff_all_live_pairs_coincide():
     a = FiniteDist.uniform(RL, [1.0])
     b = FiniteDist.delta(RL, 1.0)

@@ -625,6 +625,30 @@ def test_ratios_are_unchanged_when_both_laws_are_scaled(space, p, scale):
         assert ratio(big).value == pytest.approx(ratio(cfg).value, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("space,p", [(WeightedLq(3.0), 1.0), (WeightedLq(3.0), 2.0),
+                                     (Schatten(3.0), 1.5), (ParallelogramS1(1), 1.0)],
+                         ids=str)
+def test_barycenter_solves_are_unchanged_when_both_laws_are_scaled(space, p, scale):
+    # the solver ranks starts by its own objective values; where the q-th
+    # powers of the differences leave the float range they must not all read
+    # 0 or inf
+    rng = np.random.default_rng(7)
+    cfg = Config(space, random_dist(space, rng, 2, dim=2),
+                 random_dist(space, rng, 1, dim=2), p)
+
+    def scaled(law):
+        return FiniteDist(space, law.stack.with_array(law.stack.array * scale), law.probs)
+
+    ref = minimize_barycenter(cfg, max_iters_per_start=200)
+    big = minimize_barycenter(Config(space, scaled(cfg.X), scaled(cfg.Y), p),
+                              max_iters_per_start=200)
+    assert big.best_start == ref.best_start
+    assert big.value == pytest.approx(ref.value * scale ** p, rel=1e-12)
+
+
 # ------------------------------------------------ closed-form barycenters
 
 def _real_lq_config(q, p, rng, dirichlet, dim=6, nx=4, ny=5, zero_sum=False):
