@@ -38,6 +38,8 @@ __all__ = [
     "self_moment",
     "mean",
     "mean_row",
+    "stack_mean",
+    "check_probs",
     "centered_moment",
     "log_cross_moment",
 ]
@@ -56,6 +58,20 @@ def _parse_probs(raw) -> np.ndarray:
             raise ValueError("probabilities are numbers or decimal strings; "
                              f"got {v!r}") from None
     return np.asarray(vals, dtype=float)
+
+
+def check_probs(probs: np.ndarray, n: int) -> np.ndarray:
+    """The rule for the probabilities of ``n`` atoms: a float array of shape
+    (n,), nonnegative, summing to 1 within 1e-12.  Returns ``probs``, made
+    read-only."""
+    if probs.shape != (n,):
+        raise ValueError("probs must match atoms in length")
+    if not np.all(probs >= 0):
+        raise ValueError("probabilities must be nonnegative numbers")
+    if not abs(float(probs.sum()) - 1.0) <= _PROB_SUM_TOL:
+        raise ValueError("probabilities must sum to 1 within 1e-12")
+    probs.setflags(write=False)
+    return probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +95,9 @@ class FiniteDist:
         probs = _parse_probs(self.probs)
         if len(atoms) == 0:
             raise ValueError("a distribution needs at least one atom")
-        if probs.shape != (len(atoms),):
-            raise ValueError("probs must match atoms in length")
-        if not np.all(probs >= 0):
-            raise ValueError("probabilities must be nonnegative numbers")
-        if not abs(float(probs.sum()) - 1.0) <= _PROB_SUM_TOL:
-            raise ValueError("probabilities must sum to 1 within 1e-12")
+        check_probs(probs, len(atoms))
         stack = stack_points(self.space, atoms)
         object.__delattr__(self, "atoms")
-        probs.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "probs", probs)
 
@@ -136,15 +146,7 @@ class FiniteDist:
             raise ValueError(f"distribution object needs field {e.args[0]!r}") from None
         if not isinstance(raw_atoms, list) or not isinstance(raw_probs, list):
             raise ValueError("a distribution's 'atoms' and 'probs' are lists")
-        weights = None
-        if obj.get("weights") is not None:
-            reject_json_bools(obj["weights"], "weights")
-            try:
-                weights = np.asarray(obj["weights"], dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError("a distribution's 'weights' is a list of numbers; "
-                                 f"got {repr(obj['weights'])[:60]}") from None
-        stack = stack_from_json(space, raw_atoms, weights)
+        stack = stack_from_json(space, raw_atoms, obj.get("weights"))
         return cls(space, stack, _parse_probs(reject_json_bools(raw_probs, "probs")))
 
 
@@ -242,9 +244,15 @@ def mean_row(x: FiniteDist) -> np.ndarray:
     nonlinear space kinds."""
     if not is_linear(x.space):
         raise TypeError(f"mean undefined on {type(x.space).__name__}")
-    if isinstance(x.space, RealLine):
-        return np.dot(x.probs, x.stack.array)
-    return np.tensordot(x.probs, x.stack.array, axes=1)
+    return stack_mean(x.stack, x.probs)
+
+
+def stack_mean(stack: AtomStack, probs: np.ndarray) -> np.ndarray:
+    """Entrywise expectation probs . stack.array of rows on a linear space
+    kind, as one stack row."""
+    if isinstance(stack.space, RealLine):
+        return np.dot(probs, stack.array)
+    return np.tensordot(probs, stack.array, axes=1)
 
 
 def mean(x: FiniteDist) -> Point:

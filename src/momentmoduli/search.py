@@ -5,9 +5,17 @@ Plain hill climbing with restarts: proposals perturb one atom coordinate
 or add/remove an atom within bounds, and a proposal is accepted only when
 the ratio strictly increases.  Accepted configurations are rescaled to unit
 cross moment (ratios are scale-invariant, so this only prevents numeric
-drift).  Every evaluation recomputes the ratio from scratch through the
-moduli module -- there is no incremental state to drift -- and the final
-best ratio is recomputed once more on the winning configuration.
+drift).
+
+The loop's state is the two laws' atom stacks and probabilities, with no
+law objects.  Every evaluation recomputes the ratio from scratch -- there is
+no incremental state to drift.  A roundness or mixture value comes from a
+value-only evaluator, one kernel call on the joint stack of both laws whose
+blocks are reduced exactly as the moment functionals reduce them, so it
+equals the moduli module's value bit for bit; a barycenter value builds the
+configuration and goes through the moduli module, whose solve dominates.
+Each restart's start and the winning configuration go through the moduli
+module too (``certify_ratio``), and the latter's value is the one reported.
 
 Results are empirical lower bounds on the suprema being probed, never
 proofs, and are labeled as such in serialized output.
@@ -21,7 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .distributions import Config, FiniteDist, cross_moment
+from .distributions import Config, FiniteDist, check_probs, cross_moment, stack_mean
 from .moduli import (
     DegenerateRatioError,
     barycenter_ratio,
@@ -35,6 +43,7 @@ from .spaces import (
     RealLine,
     Space,
     WeightedLq,
+    pairwise_powered,
 )
 
 __all__ = ["SearchSpec", "SearchResult", "run_search", "certify_ratio"]
@@ -93,7 +102,10 @@ class SearchResult:
 
 
 def certify_ratio(config: Config, objective: str) -> float:
-    """Value of record: a from-scratch ratio computation with no search state."""
+    """Value of record: a from-scratch ratio computation through the moduli
+    module, with no search state.  The search calls it on each restart's
+    start and on its result; its proposals are priced by a value-only
+    evaluator that gives the same bits."""
     if objective == "roundness":
         return roundness_ratio(config).value
     if objective == "mixture":
@@ -171,6 +183,72 @@ def _initial_config(spec: SearchSpec, restart: int,
 
 
 # --------------------------------------------------------------------------
+# Search state and its value
+# --------------------------------------------------------------------------
+
+# (X stack, X probs, Y stack, Y probs): the laws of a configuration, with no
+# law objects around them
+State = Tuple[AtomStack, np.ndarray, AtomStack, np.ndarray]
+
+
+def _config(spec: SearchSpec, state: State) -> Config:
+    xs, xp, ys, yp = state
+    return Config(spec.space, FiniteDist(spec.space, xs, xp),
+                  FiniteDist(spec.space, ys, yp), spec.p)
+
+
+def _moment(a: np.ndarray, block: np.ndarray, b: np.ndarray) -> float:
+    """a . block . b over a contiguous copy of ``block``, which makes it the
+    same sum as ``cross_moment`` computes on that block alone."""
+    return float(a @ np.ascontiguousarray(block) @ b)
+
+
+def _evaluate(spec: SearchSpec, state: State) -> Tuple[Optional[float], float]:
+    """The ratio of ``state`` -- None for a degenerate or non-finite one --
+    and its denominator E d(X, Y)^p, both bit for bit as ``certify_ratio``
+    and ``cross_moment`` compute them.
+
+    A roundness or mixture value is one kernel call on the joint stack,
+    [X; Y] x [X; Y] or [X; Y] x [Y; z] with z the midpoint of the means,
+    whose blocks are reduced as the moment functionals reduce them.  A
+    barycenter value is a solve, which builds the configuration.
+    """
+    if spec.objective == "barycenter":
+        config = _config(spec, state)
+        return (_try_ratio(config, spec.objective),
+                cross_moment(config.X, config.Y, spec.p))
+    xs, xp, ys, yp = state
+    nx = len(xs)
+    joint = xs.concat(ys)
+    if spec.objective == "roundness":
+        m = pairwise_powered(spec.space, joint, joint, spec.p)
+        den = _moment(xp, m[:nx, nx:], yp)
+        num = _moment(xp, m[:nx, :nx], xp) + _moment(yp, m[nx:, nx:], yp)
+    else:
+        z = 0.5 * (stack_mean(xs, xp) + stack_mean(ys, yp))
+        m = pairwise_powered(spec.space, joint, ys.concat(ys.with_array(z[None])), spec.p)
+        den = _moment(xp, m[:nx, :-1], yp)
+        num = float(xp @ np.ascontiguousarray(m[:nx, -1])
+                    + yp @ np.ascontiguousarray(m[nx:, -1]))
+    if den <= 0.0:
+        return None, den
+    v = num / den
+    return (v if math.isfinite(v) else None), den
+
+
+def _normalized(state: State, den: float, p: float) -> Optional[State]:
+    """All atoms rescaled so that the cross moment ``den`` becomes 1 (ratios
+    are invariant), or None where it cannot be."""
+    if den <= 0 or not math.isfinite(den):
+        return None
+    lam = den ** (-1.0 / p)
+    if not math.isfinite(lam) or lam == 0:
+        return None
+    xs, xp, ys, yp = state
+    return xs.with_array(lam * xs.array), xp, ys.with_array(lam * ys.array), yp
+
+
+# --------------------------------------------------------------------------
 # Proposal moves
 # --------------------------------------------------------------------------
 
@@ -185,64 +263,45 @@ def _perturbed_row(stack: AtomStack, idx: int, rng: np.random.Generator,
     return row
 
 
-def _propose(config: Config, spec: SearchSpec, rng: np.random.Generator,
-             scale: float) -> Optional[Config]:
+def _propose(state: State, spec: SearchSpec, rng: np.random.Generator,
+             scale: float) -> Optional[State]:
+    xs, xp, ys, yp = state
     side_x = bool(rng.integers(2))
-    dist = config.X if side_x else config.Y
+    stack, probs = (xs, xp) if side_x else (ys, yp)
     max_atoms = spec.max_atoms_x if side_x else spec.max_atoms_y
-    stack = dist.stack
     n = len(stack)
     u = rng.random()
     if u < 0.70:
         idx = int(rng.integers(n))
         rows = stack.array.copy()
         rows[idx] = _perturbed_row(stack, idx, rng, scale)
-        new = FiniteDist(dist.space, stack.with_array(rows), dist.probs)
+        new = stack.with_array(rows), probs
     elif u < 0.90:
         kappa = min(max(50.0 / scale, 1.0), 1e6)
-        conc = dist.probs * kappa + 0.5
-        probs = rng.dirichlet(conc)
-        if probs.sum() <= 0:
+        conc = probs * kappa + 0.5
+        drawn = rng.dirichlet(conc)
+        if drawn.sum() <= 0:
             return None
-        new = FiniteDist(dist.space, stack, probs / probs.sum())
+        new = stack, check_probs(drawn / drawn.sum(), n)
     elif u < 0.95:
         if n >= max_atoms:
             return None
         idx = int(rng.integers(n))
         row = _perturbed_row(stack, idx, rng, max(scale, 0.1))
         rows = np.concatenate([stack.array, row[np.newaxis]])
-        probs = np.append(dist.probs * (n / (n + 1.0)), 1.0 / (n + 1.0))
-        new = FiniteDist(dist.space, stack.with_array(rows), probs)
+        grown = np.append(probs * (n / (n + 1.0)), 1.0 / (n + 1.0))
+        new = stack.with_array(rows), check_probs(grown, n + 1)
     else:
         if n <= 1:
             return None
         idx = int(rng.integers(n))
-        probs = np.delete(dist.probs, idx)
-        total = probs.sum()
+        kept = np.delete(probs, idx)
+        total = kept.sum()
         if total <= 0:
             return None
         rows = np.delete(stack.array, idx, axis=0)
-        new = FiniteDist(dist.space, stack.with_array(rows), probs / total)
-    if side_x:
-        return Config(config.space, new, config.Y, config.p, config.zero_sum)
-    return Config(config.space, config.X, new, config.p, config.zero_sum)
-
-
-def _normalize(config: Config) -> Config:
-    """Rescale all atoms so the cross moment is 1 (ratios are invariant)."""
-    cm = cross_moment(config.X, config.Y, config.p)
-    if cm <= 0 or not math.isfinite(cm):
-        return config
-    lam = cm ** (-1.0 / config.p)
-    if not math.isfinite(lam) or lam == 0:
-        return config
-
-    def rescale(dist: FiniteDist) -> FiniteDist:
-        return FiniteDist(dist.space, dist.stack.with_array(lam * dist.stack.array),
-                          dist.probs)
-
-    return Config(config.space, rescale(config.X), rescale(config.Y),
-                  config.p, config.zero_sum)
+        new = stack.with_array(rows), check_probs(kept / total, n - 1)
+    return (*new, ys, yp) if side_x else (xs, xp, *new)
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +315,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
     runs independently; the final reduction is a max with index tie-break,
     so the result does not depend on execution order.
     """
-    best_config: Optional[Config] = None
+    best_state: Optional[State] = None
     best_ratio = -math.inf
     best_trace: Tuple[Tuple[int, float], ...] = ()
 
@@ -271,38 +330,41 @@ def run_search(spec: SearchSpec) -> SearchResult:
             attempts += 1
         if ratio is None:
             continue
-        norm = _normalize(config)
-        r_norm = _try_ratio(norm, spec.objective)
-        if r_norm is not None and r_norm >= ratio:
-            config, ratio = norm, r_norm
+        state = config.X.stack, config.X.probs, config.Y.stack, config.Y.probs
+        norm = _normalized(state, cross_moment(config.X, config.Y, spec.p), spec.p)
+        if norm is not None:
+            r_norm, _ = _evaluate(spec, norm)
+            if r_norm is not None and r_norm >= ratio:
+                state, ratio = norm, r_norm
         trace: List[Tuple[int, float]] = [(0, ratio)]
         scale = 1.0
         for step in range(1, spec.budget + 1):
-            proposal = _propose(config, spec, rng, scale)
+            proposal = _propose(state, spec, rng, scale)
             if proposal is None:
                 scale = max(scale * _SCALE_SHRINK, _SCALE_MIN)
                 continue
-            r_new = _try_ratio(proposal, spec.objective)
+            r_new, den = _evaluate(spec, proposal)
             if r_new is not None and r_new > ratio:
-                norm = _normalize(proposal)
-                r_norm = _try_ratio(norm, spec.objective)
+                norm = _normalized(proposal, den, spec.p)
+                r_norm = None if norm is None else _evaluate(spec, norm)[0]
                 if r_norm is not None and r_norm > ratio:
-                    config, ratio = norm, r_norm
+                    state, ratio = norm, r_norm
                 else:
-                    config, ratio = proposal, r_new
+                    state, ratio = proposal, r_new
                 trace.append((step, ratio))
                 scale = min(scale * _SCALE_GROW, _SCALE_MAX)
             else:
                 scale = max(scale * _SCALE_SHRINK, _SCALE_MIN)
         if ratio > best_ratio:
             best_ratio = ratio
-            best_config = config
+            best_state = state
             best_trace = tuple(trace)
 
-    if best_config is None:
+    if best_state is None:
         raise RuntimeError("search failed to produce any valid configuration")
 
+    best_config = _config(spec, best_state)
     certified = certify_ratio(best_config, spec.objective)
     if abs(certified - best_ratio) > 1e-10 * max(1.0, abs(certified)):
-        raise RuntimeError("incremental ratio drifted from the certified value")
+        raise RuntimeError("search ratio drifted from the certified value")
     return SearchResult(best_config, certified, best_trace, spec.seed)

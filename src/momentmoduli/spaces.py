@@ -343,6 +343,11 @@ class AtomStack:
         if a.shape[1:] != self.array.shape[1:]:
             raise ValueError("new rows must keep the atoms' dimension")
         _check_rows(self.space, a)
+        return self._sharing(a)
+
+    def _sharing(self, a: np.ndarray) -> "AtomStack":
+        # a stack of the checked rows ``a`` (a private array) on this
+        # stack's space and weights
         out = object.__new__(AtomStack)
         object.__setattr__(out, "space", self.space)
         object.__setattr__(out, "array", _readonly(a))
@@ -350,11 +355,12 @@ class AtomStack:
         return out
 
     def concat(self, other: "AtomStack") -> "AtomStack":
-        """The rows of this stack followed by those of ``other``."""
+        """The rows of this stack followed by those of ``other``; both were
+        checked, so their rows are not checked again."""
         if other.space != self.space:
             raise SpaceMismatchError("stacks were checked on different spaces")
         _check_compatible(self, other)
-        return self.with_array(np.concatenate([self.array, other.array]))
+        return self._sharing(np.concatenate([self.array, other.array]))
 
     def points(self) -> tuple:
         """The atoms as point objects."""
@@ -439,10 +445,12 @@ def _lq_powered(absd: np.ndarray, w: np.ndarray, q: float, p: float) -> np.ndarr
     """(sum_k w_k absd_k^q)^(p/q) over the last axis of nonnegative ``absd``.
 
     The rows whose sum overflows, or underflows to zero while a weighted entry
-    is nonzero, are recomputed scaled by their largest weighted entry.
+    is nonzero, are recomputed scaled by their largest weighted entry, so the
+    first pass runs with floating-point warnings off.
     """
-    terms = absd ** q * w
-    s = terms.sum(axis=-1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        terms = absd ** q * w
+        s = terms.sum(axis=-1)
     out = s ** (p / q)
     # cheap gate: no row sum overflowed and no term underflowed to zero
     if not s.max() < INF or np.count_nonzero(terms) != np.count_nonzero(absd):
@@ -510,8 +518,10 @@ def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
 
     if isinstance(space, ParallelogramS1):
         c = e[:, None, :] - f[None, :, :]
-        d, s = _parallelogram(c)
-        # rr * ii overflows above the band and underflows below it
+        # rr * ii overflows above the band and underflows below it; those
+        # pairs are recomputed, so the first pass runs with warnings off
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            d, s = _parallelogram(c)
         bad = ~(s <= 1e100)
         tiny = s < 1e-100
         bad[tiny] = c[tiny].any(axis=-1)
@@ -554,18 +564,29 @@ def json_number(obj: dict, key: str) -> float:
     raise ValueError(f"field {key!r} must be a number; got {v!r}")
 
 
+def _reject_json(obj, field: str, kinds, what: str):
+    todo = [obj]
+    while todo:                 # no recursion: nesting depth is the input's
+        v = todo.pop()
+        if isinstance(v, kinds):
+            raise ValueError(f"field {field!r} takes numbers, not {what}; got {v!r}")
+        if isinstance(v, list):
+            todo.extend(v)
+    return obj
+
+
 def reject_json_bools(obj, field: str):
     """``obj``, JSON read as numbers, unless it holds a boolean (in nested
     lists), which ``float`` and numpy read as 0 or 1: that raises a
     ValueError naming ``field``."""
-    todo = [obj]
-    while todo:                 # no recursion: nesting depth is the input's
-        v = todo.pop()
-        if isinstance(v, bool):
-            raise ValueError(f"field {field!r} takes numbers, not booleans; got {v!r}")
-        if isinstance(v, list):
-            todo.extend(v)
-    return obj
+    return _reject_json(obj, field, bool, "booleans")
+
+
+def _reject_json_strings(obj, field: str):
+    """``obj`` unless it holds a string (in nested lists), which ``float``
+    and numpy read as the number it spells: that raises a ValueError naming
+    ``field``."""
+    return _reject_json(obj, field, str, "strings")
 
 
 def _json_int(obj: dict, key: str) -> int:
@@ -643,31 +664,43 @@ def _real_from_json(obj) -> float:
 
 
 def _vertex_from_json(obj) -> tuple:
-    try:
+    if isinstance(obj, list) and len(obj) == 2:
         side, index = obj
-        if isinstance(index, float) and not index.is_integer():
-            raise ValueError
-        return side, int(index)
+        if isinstance(index, int) or (isinstance(index, float) and index.is_integer()):
+            return side, int(index)
+    raise ValueError("graph 'atoms' are [side, index] pairs with an integer "
+                     f"index; got {obj!r}")
+
+
+def _weights_from_json(obj) -> np.ndarray:
+    _reject_json_strings(reject_json_bools(obj, "weights"), "weights")
+    try:
+        return np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError("graph atoms are [side, index] pairs with an integer "
-                         f"index; got {obj!r}") from None
+        raise ValueError("a distribution's 'weights' is a list of numbers; "
+                         f"got {repr(obj)[:60]}") from None
 
 
-def stack_from_json(space: Space, atoms: list,
-                    weights: Optional[np.ndarray] = None) -> AtomStack:
+def stack_from_json(space: Space, atoms: list, weights=None) -> AtomStack:
     """The AtomStack of one distribution's JSON atoms on ``space``: numbers on
     the real line, ``[side, index]`` pairs on a bipartite graph, ``[re, im]``
-    pairs per coordinate (in rows, for Schatten) otherwise.  ``weights`` is
-    the vector kinds' shared weight vector; the other kinds ignore it.
+    pairs per coordinate (in rows, for Schatten) otherwise.  ``weights``, a
+    JSON list of numbers or None, is the vector kinds' shared weight vector;
+    the other kinds reject one.
     """
     base = _base(space)
+    if weights is not None:
+        weights = _weights_from_json(weights)
+        if not isinstance(base, (WeightedLq, ParallelogramS1)):
+            raise ValueError(f"{type(base).__name__} atoms carry no 'weights'")
     reject_json_bools(atoms, "atoms")
     if len(atoms) == 0:
         raise ValueError("a distribution needs at least one atom")
-    if isinstance(base, RealLine):
-        return AtomStack(base, [_real_from_json(a) for a in atoms])
     if isinstance(base, BipartiteGraph):
         return AtomStack(base, _vertex_rows(base, [_vertex_from_json(a) for a in atoms]))
+    _reject_json_strings(atoms, "atoms")
+    if isinstance(base, RealLine):
+        return AtomStack(base, [_real_from_json(a) for a in atoms])
     matrix = isinstance(base, Schatten)
     rows = _stack_rows([_complex_from_pairs(a, 2 if matrix else 1) for a in atoms])
-    return AtomStack(base, rows, None if matrix else weights)
+    return AtomStack(base, rows, weights)

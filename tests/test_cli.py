@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import momentmoduli
 from momentmoduli.cli import main
 from momentmoduli.constructions import make_fn
 from momentmoduli.spaces import INF
@@ -19,7 +24,8 @@ def test_constants_csv(capsys, tmp_path):
     code, _, _ = run_cli(["constants", "--pmin", "1", "--pmax", "4",
                           "--step", "0.5", "--out", str(path)], capsys)
     assert code == 0
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0].keys() == {"p", "q", "c", "C", "C_opt", "theta_max",
                               "snowflake", "Q_star", "bm_bound",
                               "general_bound"}
@@ -58,7 +64,8 @@ def test_ratio_roundtrip(capsys, tmp_path):
     payload = json.loads(out)
     names = [r["name"] for r in payload]
     assert "Barycenter" in names and "Roundness" in names
-    rows = list(csv.DictReader(csv_path.open()))
+    with csv_path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0].keys() == {"name", "p", "q", "space", "value", "bound",
                               "slack"}
 
@@ -113,7 +120,8 @@ def test_sweep_csv_and_exit_code(capsys, tmp_path):
                           "--n", "1,2,4", "--p", "1,2",
                           "--out", str(out_path)], capsys)
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    with out_path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 6
     assert all(r["status"] == "ok" for r in rows)
     # predicted/computed agree row-wise
@@ -292,9 +300,10 @@ _GRAPH_CONFIG = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("config,message", [
-    ({**_LQ_CONFIG, "p": 1e6}, "floating-point range"),
+    # the moments overflow for real here, and numpy says so
+    pytest.param({**_LQ_CONFIG, "p": 1e6}, "floating-point range",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
     ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": ["nan"]}}, "nonnegative"),
     ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": [10 ** 400]}}, "probabilities"),
     ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": [1.0], "weights": {}}}, "'weights'"),
@@ -352,6 +361,61 @@ def test_ratio_boolean_where_a_number_is_read_exits_2_naming_the_field(
     assert err.startswith("error:")
     assert repr(field) in err
     assert "Traceback" not in err
+
+
+_SCHATTEN_CONFIG = {
+    "space": {"kind": "schatten", "q": 2.0},
+    "X": {"atoms": [[[[1, 0]]]], "probs": [1.0]},
+    "Y": {"atoms": [[[[0, 1]]]], "probs": [1.0]},
+    "p": 1.0,
+}
+
+
+@pytest.mark.parametrize("config,field", [
+    ({**_REAL_CONFIG, "X": {"atoms": ["1.5", 0.0], "probs": [0.5, 0.5]}}, "atoms"),
+    ({**_LQ_CONFIG, "X": {"atoms": [[["1", 0]]], "probs": [1.0]}}, "atoms"),
+    ({**_SCHATTEN_CONFIG, "X": {"atoms": [[[["1", 0]]]], "probs": [1.0]}}, "atoms"),
+    ({**_GRAPH_CONFIG, "X": {"atoms": [["R", "1"]], "probs": [1.0]}}, "atoms"),
+    ({**_GRAPH_CONFIG, "X": {"atoms": ["L1"], "probs": [1.0]}}, "atoms"),
+    ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": [1.0], "weights": ["1"]}},
+     "weights"),
+    ({**_REAL_CONFIG, "X": {"atoms": [1.0, 0.0], "probs": [0.5, 0.5], "weights": [1.0]}},
+     "weights"),
+    ({**_SCHATTEN_CONFIG, "X": {"atoms": [[[[1, 0]]]], "probs": [1.0], "weights": [1.0]}},
+     "weights"),
+    ({**_GRAPH_CONFIG, "X": {"atoms": [["L", 0]], "probs": [1.0], "weights": [1.0]}},
+     "weights"),
+], ids=["real-atom-string", "re-im-string", "schatten-entry-string", "vertex-index-string",
+        "vertex-string", "weights-string", "real-weights", "schatten-weights",
+        "graph-weights"])
+def test_ratio_string_atom_or_weights_without_vectors_exits_2_naming_the_field(
+        capsys, tmp_path, config, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(["ratio", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert repr(field) in err
+    assert "Traceback" not in err
+
+
+def test_ratio_at_extreme_magnitudes_writes_nothing_to_stderr(tmp_path):
+    # the kernels recompute the pairs whose powers over- or underflow; the
+    # first pass must not leak numpy's warnings into the output
+    config = {"space": {"kind": "weighted_lq", "q": 3},
+              "X": {"atoms": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]],
+                    "probs": [0.5, 0.5]},
+              "Y": {"atoms": [[[-1e200, 0], [2e200, 0]]], "probs": [1.0]},
+              "p": 1}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(Path(momentmoduli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "momentmoduli.cli", "ratio",
+                           "--config", str(path)], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "Roundness" in proc.stdout
 
 
 @pytest.mark.parametrize("suite,flag,value", [

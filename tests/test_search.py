@@ -1,13 +1,18 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentmoduli import search
 from momentmoduli.constants import C_exponent
+from momentmoduli.distributions import Config, FiniteDist, cross_moment
+from momentmoduli.moduli import DegenerateRatioError
 from momentmoduli.search import SearchSpec, certify_ratio, run_search
-from momentmoduli.spaces import ParallelogramS1, RealLine, WeightedLq
+from momentmoduli.spaces import INF, AtomStack, ParallelogramS1, RealLine, WeightedLq
 
 
 def test_search_is_bitwise_reproducible():
@@ -120,7 +125,6 @@ def test_search_sup_norm_space_smoke():
 
 
 def test_search_result_config_reverifies_from_json():
-    from momentmoduli.distributions import Config
     spec = SearchSpec(space=RealLine(), objective="roundness", p=1.0,
                       budget=500, restarts=1, seed=88)
     r = run_search(spec)
@@ -141,13 +145,14 @@ def test_search_propagates_faults_other_than_degenerate_ratios(monkeypatch):
 
 
 def _atom_bytes(dist):
-    return (b"".join(np.asarray(a.entries).tobytes() for a in dist.atoms)
-            + np.asarray(dist.probs).tobytes())
+    return dist.stack.array.tobytes() + np.asarray(dist.probs).tobytes()
 
 
 # best ratio, number of trace entries, sha256 of repr(trace) and of the best
-# configuration's atom and probability bytes (X then Y), as computed before
-# the atoms were stacked; the stacked search must reproduce them bit for bit
+# configuration's atom and probability bytes (X then Y).  The first two were
+# computed before the atoms were stacked, the other three while each proposal
+# still built its laws and configuration; the search must reproduce them bit
+# for bit
 GOLDEN = [
     (SearchSpec(space=WeightedLq(3.0), objective="roundness", p=1.5,
                 budget=150, restarts=2, seed=2024),
@@ -159,11 +164,27 @@ GOLDEN = [
      1.5888989145676828, 30,
      "2abbcd3a1c5ba33ab09ae4f5b82c316bf2460af09659428a761f570fedae0100",
      "04c26b49986e50181762bc7e939dfd47ee84c2f49e7c3853b811c8b98d1f4910"),
+    (SearchSpec(space=RealLine(), objective="roundness", p=1.5,
+                budget=300, restarts=2, seed=31),
+     1.9997634871291514, 53,
+     "eb2462edfb25ad123cf348c6ac7755513118747a203dc5b0eef5ba80122d7d6e",
+     "14bab35d06d303c79c00222ae6664f83fcff5c9aa1bd7d67393d243a7840ad4b"),
+    (SearchSpec(space=WeightedLq(INF), objective="roundness", p=1.0,
+                budget=300, restarts=2, seed=17),
+     2.068124868229292, 53,
+     "f3abced79d782edecaba794191835e20bad31f45a269d95b7ce7a1bc55455e48",
+     "2f41c8cdcd054743ba4f1386c864c04cde4e1f9b513bc58110cbedc5633c933a"),
+    (SearchSpec(space=RealLine(), objective="barycenter", p=1.0,
+                budget=30, restarts=1, seed=4, max_atoms_x=2, max_atoms_y=2),
+     1.8280955316521785, 6,
+     "759bed98b5df319dd0e0a7d68ef1c6acda0a9fee399b9f3c79f5b30f0c1f20d6",
+     "af74662a05356133ea5c40ec48d5dc49183fd45d5bdc1bddc0e1de0c6f7d8c1a"),
 ]
 
 
 @pytest.mark.parametrize("spec,ratio,n_trace,trace_sha,atoms_sha", GOLDEN,
-                         ids=["lq3-roundness", "s1par2-mixture"])
+                         ids=["lq3-roundness", "s1par2-mixture", "realline-roundness",
+                              "lqinf-roundness", "realline-barycenter"])
 def test_search_golden_values(spec, ratio, n_trace, trace_sha, atoms_sha):
     r = run_search(spec)
     assert r.best_ratio == ratio
@@ -188,3 +209,55 @@ def test_search_uses_the_given_dimension():
     spec = SearchSpec(space=WeightedLq(2.0), objective="mixture", p=2.0,
                       budget=3, seed=5, dim=1)
     assert run_search(spec).best_config.X.stack.array.shape[1] == 1
+
+
+_EVAL_SPACES = [RealLine(), WeightedLq(1.0), WeightedLq(2.0), WeightedLq(3.0),
+                WeightedLq(INF), ParallelogramS1(1), ParallelogramS1(2)]
+
+
+@st.composite
+def _priced_configs(draw):
+    space = draw(st.sampled_from(_EVAL_SPACES))
+    objective = draw(st.sampled_from(["roundness", "mixture"]))
+    p = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    # 1e+-150 sends the l_q and parallelogram kernels down their rescaled path
+    scale = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    integer = draw(st.booleans())           # ties, shared atoms, zero moments
+    if isinstance(space, ParallelogramS1):
+        dim = 2 * space.n
+    else:
+        dim = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def law():
+        n = draw(st.integers(1, 4))
+        if isinstance(space, RealLine):
+            shape = (n,)
+        else:
+            shape = (n, dim)
+        if integer:
+            rows = rng.integers(-1, 2, size=shape).astype(float)
+        else:
+            rows = rng.normal(size=shape)
+        if not isinstance(space, RealLine):
+            rows = rows + 1j * (rng.integers(-1, 2, size=shape) if integer
+                                else rng.normal(size=shape))
+        return FiniteDist(space, AtomStack(space, rows * scale), rng.dirichlet(np.ones(n)))
+
+    return SearchSpec(space=space, objective=objective, p=p), law(), law()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_priced_configs())
+def test_search_evaluator_matches_certify_ratio_bit_for_bit(case):
+    spec, x, y = case
+    value, den = search._evaluate(spec, (x.stack, x.probs, y.stack, y.probs))
+    config = Config(spec.space, x, y, spec.p)
+    try:
+        ref = certify_ratio(config, spec.objective)
+    except DegenerateRatioError:
+        ref = None
+    if ref is not None and not math.isfinite(ref):
+        ref = None
+    assert repr(value) == repr(ref)
+    assert repr(den) == repr(cross_moment(x, y, spec.p))

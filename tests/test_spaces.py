@@ -314,8 +314,6 @@ def test_kernel_names_x_y_mismatch():
 
 # ------------------------------------------------ l_q over- and underflow
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_lq_large_q_does_not_overflow():
     d = distance(WeightedLq(2000.0), CVector([3, 0]), CVector([0, 0]))
     assert d == 3.0
@@ -346,15 +344,12 @@ def test_lq_ordinary_values_take_the_unscaled_path():
 
 # ------------------------------ Schatten and parallelogram over- and underflow
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_schatten_extreme_magnitudes_neither_overflow_nor_vanish():
     sp = Schatten(2.0)
     assert distance(sp, CMatrix([[1e-200]]), CMatrix([[0]])) == 1e-200
     assert distance(sp, CMatrix(np.diag([1e200, 0.0])), CMatrix(np.zeros((2, 2)))) == 1e200
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_parallelogram_extreme_magnitudes_neither_overflow_nor_vanish(scale):
     sp = ParallelogramS1(1)
