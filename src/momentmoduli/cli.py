@@ -69,6 +69,13 @@ def _positive(flag: str, value):
     return value
 
 
+def _reject_unused(target: str, flags: dict, takes) -> None:
+    """Refuse a flag that is given but that ``target`` does not take."""
+    for flag, value in flags.items():
+        if value is not None and flag not in takes:
+            raise ValueError(f"{target} takes no --{flag}")
+
+
 def _write_csv(path: Optional[str], header: Sequence[str], rows) -> None:
     rows = list(rows)
     out = sys.stdout if path is None else open(path, "w", newline="")
@@ -135,9 +142,10 @@ def _verify_one(name: str, p: float, **flags) -> tuple:
     if cid not in _CONSTRUCTIONS:
         raise ValueError(f"unknown construction {cid!r}")
     build, needs = _CONSTRUCTIONS[cid]
+    label = cid.replace("_", "-")
     if any(flags[f] is None for f in needs):
-        raise ValueError(f"{cid.replace('_', '-')} needs "
-                         + " and ".join(f"--{f}" for f in needs))
+        raise ValueError(f"{label} needs " + " and ".join(f"--{f}" for f in needs))
+    _reject_unused(label, flags, needs)
     nc = build(p=p, **{f: flags[f] for f in needs})
     return nc, verify_construction(nc)
 
@@ -211,12 +219,8 @@ def _cmd_check(ns: argparse.Namespace) -> int:
         raise ValueError(f"--tolerance must be nonnegative; got {tol!r}")
     given = {"grid": _positive("--grid", ns.grid),
              "seeds": _positive("--seeds", ns.seeds), "tolerance": tol}
-    kwargs = {}
-    for flag, value in given.items():
-        if value is not None:
-            if flag not in takes:
-                raise ValueError(f"check {name} takes no --{flag}")
-            kwargs[takes[flag]] = value
+    _reject_unused(f"check {name}", given, takes)
+    kwargs = {takes[flag]: value for flag, value in given.items() if value is not None}
     violations = getattr(scalar_checks, runner)(**kwargs)
     keys: List[str] = sorted({k for v in violations for k in v})
     _write_csv(ns.out, keys or ["check"],
@@ -227,19 +231,25 @@ def _cmd_check(ns: argparse.Namespace) -> int:
 
 # ----------------------------- search -----------------------------
 
+# search space name -> (space type, the flag it is built from or None, the
+# other flags it takes)
+_SEARCH_SPACES = {
+    "lq": (WeightedLq, "q", ("dim",)),
+    "realline": (RealLine, None, ()),
+    "s1par": (ParallelogramS1, "n", ()),
+}
+
+
 def _cmd_search(ns: argparse.Namespace) -> int:
-    if ns.space == "lq":
-        if ns.q is None:
-            raise ValueError("--space lq needs --q")
-        space = WeightedLq(ns.q)
-    elif ns.space == "realline":
-        space = RealLine()
-    elif ns.space == "s1par":
-        if ns.n is None:
-            raise ValueError("--space s1par needs --n")
-        space = ParallelogramS1(ns.n)
+    kind, needs, takes = _SEARCH_SPACES[ns.space]
+    flags = {"q": ns.q, "n": ns.n, "dim": ns.dim}
+    if needs is None:
+        space = kind()
+    elif flags[needs] is None:
+        raise ValueError(f"--space {ns.space} needs --{needs}")
     else:
-        raise ValueError(f"unknown space {ns.space!r}")
+        space = kind(flags[needs])
+    _reject_unused(f"--space {ns.space}", flags, (needs, *takes))
     spec = search_mod.SearchSpec(
         space=space,
         objective=ns.objective,
@@ -303,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--out", type=str)
 
     s = sub.add_parser("search", help="Stochastic ratio maximization.")
-    s.add_argument("--space", type=str, required=True,
-                   choices=("lq", "realline", "s1par"))
+    s.add_argument("--space", type=str, required=True, choices=_SEARCH_SPACES)
     s.add_argument("--q", type=_parse_real)
     s.add_argument("--n", type=int)
     s.add_argument("--objective", type=str, required=True,

@@ -141,6 +141,17 @@ def make_bipartite(n: int, p: float) -> NamedConstruction:
 # Disjointly supported symmetric Bernoulli systems
 # --------------------------------------------------------------------------
 
+def _disjoint_bernoulli_stacks(space: WeightedLq, n: int) -> tuple:
+    """The two families of n symmetric Bernoulli coordinate functions with
+    disjoint supports, as two stacks that share one weight vector."""
+    half = 2 ** n
+    weights = np.full(2 * half, 2.0 ** (-n))
+    signs = 1.0 - 2.0 * ((np.arange(half) >> np.arange(n)[:, None]) & 1)
+    zeros = np.zeros((n, half))
+    xs = AtomStack(space, np.concatenate([signs, zeros], axis=1), weights)
+    return xs, xs.with_array(np.concatenate([zeros, signs], axis=1))
+
+
 def make_disjoint_bernoulli(n: int, q: float, p: float) -> NamedConstruction:
     """Uniform laws on two families of n symmetric Bernoulli coordinate
     functions with disjoint supports, realized explicitly on the product
@@ -155,16 +166,9 @@ def make_disjoint_bernoulli(n: int, q: float, p: float) -> NamedConstruction:
         raise ValueError("make_disjoint_bernoulli requires finite q >= 1")
     if p < 1.0:
         raise ValueError("make_disjoint_bernoulli requires p >= 1")
-    half = 2 ** n
-    weights = np.full(2 * half, 2.0 ** (-n))
-    signs = 1.0 - 2.0 * ((np.arange(half) >> np.arange(n)[:, None]) & 1)
-    zeros = np.zeros((n, half))
     space = WeightedLq(q)
-    xs = AtomStack(space, np.concatenate([signs, zeros], axis=1), weights)
-    config = Config(space,
-                    FiniteDist.uniform(space, xs),
-                    FiniteDist.uniform(space, xs.with_array(
-                        np.concatenate([zeros, signs], axis=1))), p)
+    xs, ys = _disjoint_bernoulli_stacks(space, n)
+    config = Config(space, FiniteDist.uniform(space, xs), FiniteDist.uniform(space, ys), p)
     predicted = (1.0 - 1.0 / n) * 2.0 ** (1.0 + p * (q - 2.0) / q)
     return NamedConstruction("disjoint_bernoulli", {"n": n, "q": q, "p": p},
                              config, predicted, EXACT)

@@ -136,8 +136,14 @@ def _space_label(space: Space) -> str:
     return fmt(obj)
 
 
-def _report(name: str, value: float, bound: Optional[float],
+def _report(name: str, num: float, den: float, bound: Optional[float],
             solver_info: Optional[BarycenterCert] = None) -> RatioReport:
+    """The report of num / den; a moment that left the float range (inf, or
+    nan from inf - inf or 0 * inf) raises an OverflowError."""
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise OverflowError(f"{name} moments are not finite "
+                            f"(numerator={num}, denominator={den})")
+    value = num / den
     slack = None if bound is None else bound - value
     return RatioReport(name, value, bound, slack, solver_info)
 
@@ -216,7 +222,7 @@ def roundness_ratio(config: Config) -> RatioReport:
     den = cross_moment(config.X, config.Y, config.p)
     if den <= 0.0:
         raise DegenerateRatioError("roundness denominator vanished", num, den)
-    return _report("Roundness", num / den, _roundness_bound(config.space, config.p))
+    return _report("Roundness", num, den, _roundness_bound(config.space, config.p))
 
 
 def jensen_ratio(x: FiniteDist, p: float) -> RatioReport:
@@ -229,7 +235,7 @@ def jensen_ratio(x: FiniteDist, p: float) -> RatioReport:
     den = centered_moment(x, p)
     if den <= 0.0:
         raise DegenerateRatioError("constant distribution has no Jensen ratio", num, den)
-    return _report("Jensen", num / den, _jensen_bound(x.space, p))
+    return _report("Jensen", num, den, _jensen_bound(x.space, p))
 
 
 def mixture_ratio(config: Config) -> RatioReport:
@@ -242,7 +248,7 @@ def mixture_ratio(config: Config) -> RatioReport:
         raise DegenerateRatioError("mixture denominator vanished", float("nan"), den)
     z = 0.5 * (mean_row(config.X) + mean_row(config.Y))
     num = barycenter_objective(config, config.X.stack.with_array(z[None]))
-    return _report("Mixture", num / den, _mixture_bound(config.space, config.p))
+    return _report("Mixture", num, den, _mixture_bound(config.space, config.p))
 
 
 def barycenter_ratio(config: Config) -> RatioReport:
@@ -259,9 +265,8 @@ def barycenter_ratio(config: Config) -> RatioReport:
     bound = _mixture_bound(config.space, config.p)
     if config.p >= 1.0:
         cert = minimize_barycenter(config)
-        return _report("Barycenter", cert.value / den, bound, cert)
-    value = mixture_draw_bound(config) / den
-    return _report("Barycenter", value, bound)
+        return _report("Barycenter", cert.value, den, bound, cert)
+    return _report("Barycenter", mixture_draw_bound(config), den, bound)
 
 
 def metric_barycenter_ratio(config: Config,
@@ -300,10 +305,10 @@ def metric_barycenter_ratio(config: Config,
         if best == 0.0:
             # coinciding supports with a support point available as center:
             # the inequality is trivially saturated at 0
-            return _report("MetricBarycenter", 0.0, bound)
+            return _report("MetricBarycenter", 0.0, 1.0, bound)
         raise DegenerateRatioError("metric barycenter denominator vanished",
                                    best, den)
-    return _report("MetricBarycenter", best / den, bound)
+    return _report("MetricBarycenter", best, den, bound)
 
 
 def log_roundness_report(config: Config) -> RatioReport:
@@ -319,7 +324,7 @@ def log_roundness_report(config: Config) -> RatioReport:
         gap = float("inf")
     else:
         gap = lhs - rhs
-    return _report("LogRoundness", gap, 0.0)
+    return RatioReport("LogRoundness", gap, 0.0, 0.0 - gap)
 
 
 def all_reports(config: Config) -> List[RatioReport]:

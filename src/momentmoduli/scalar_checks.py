@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .distributions import FiniteDist, mean_row, mixture
+from .distributions import FiniteDist, check_probs, mean_row, mixture
 from .quadrature import gl_panel, integrate_segment
 from .spaces import AtomStack, RealLine
 
@@ -52,6 +52,13 @@ _SUBADDITIVITY_TOL = 1e-10
 _EXACT_TOL = 1e-12
 _MAX_ATOMS = 4
 
+# the alpha grid's half-width, the base seed of each random suite, and the
+# variants and kernel size of the Hilbert suite
+_ALPHA_SPAN = 10.0
+_SUBADDITIVITY_SEED, _SMOOTHING_SEED, _HILBERT_SEED, _LAPLACE_SEED = 7001, 7002, 7003, 7004
+_HILBERT_VARIANTS = ("roundness", "mixture", "antisym")
+_HILBERT_SIZE = 5
+
 
 def _real_law(atoms: np.ndarray, probs: np.ndarray) -> FiniteDist:
     return FiniteDist(_RL, AtomStack(_RL, atoms), probs)
@@ -79,13 +86,11 @@ class KernelMatrix:
         v = np.array(self.values, dtype=complex)
         if mu.ndim != 1 or nu.ndim != 1:
             raise ValueError("mu and nu must be probability vectors")
-        for w in (mu, nu):
-            if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValueError("mu and nu must be probability vectors")
+        check_probs(mu, mu.size)
+        check_probs(nu, nu.size)
         if v.shape != (mu.size, nu.size):
             raise ValueError("values must be an (len(mu), len(nu)) matrix")
-        for arr in (mu, nu, v):
-            arr.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "values", v)
@@ -318,11 +323,10 @@ def random_kernel(rng: np.random.Generator, m: int = 5, k: int = 5,
 
 
 def run_alpha_grid(qs=(3.0, 3.5, 4.0, 6.0), grid: int = 400,
-                   lo: float = -10.0, hi: float = 10.0,
                    tol: float = 1e-10) -> list:
     """Nonnegativity of alpha_fn on a grid; the allowance scales with the
     magnitude (1 + |x| + |y|)^q since the terms themselves do."""
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(-_ALPHA_SPAN, _ALPHA_SPAN, grid)
     x, y = np.meshgrid(xs, xs)
     violations = []
     for q in qs:
@@ -360,11 +364,10 @@ def run_beta_scan(qs_fail=(1.5, 2.5), qs_hold=(3.0, 4.0),
     return violations
 
 
-def run_subadditivity_suite(qs=(3.0, 4.0, 5.5), seeds: int = 1000,
-                            seed: int = 7001) -> list:
+def run_subadditivity_suite(qs=(3.0, 4.0, 5.5), seeds: int = 1000) -> list:
     violations = []
     for q in qs:
-        rng = np.random.default_rng([seed, int(q * 10)])
+        rng = np.random.default_rng([_SUBADDITIVITY_SEED, int(q * 10)])
         for i in range(seeds):
             x, y = random_centered_pair(rng)
             lhs, rhs, holds = check_subadditivity(x, y, q)
@@ -374,10 +377,9 @@ def run_subadditivity_suite(qs=(3.0, 4.0, 5.5), seeds: int = 1000,
     return violations
 
 
-def run_smoothing_suite(svals=(0.1, 1.0, 10.0), seeds: int = 1000,
-                        seed: int = 7002) -> list:
+def run_smoothing_suite(svals=(0.1, 1.0, 10.0), seeds: int = 1000) -> list:
     violations = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SMOOTHING_SEED)
     for i in range(seeds):
         m = int(rng.integers(1, 5))
         x = _real_law(rng.normal(size=m), rng.dirichlet(np.ones(m)))
@@ -392,15 +394,13 @@ def run_smoothing_suite(svals=(0.1, 1.0, 10.0), seeds: int = 1000,
     return violations
 
 
-def run_hilbert_suite(variants=("roundness", "mixture", "antisym"),
-                      seeds: int = 1000, size: int = 5,
-                      seed: int = 7003) -> list:
+def run_hilbert_suite(seeds: int = 1000) -> list:
     violations = []
-    for variant in variants:
+    for variant in _HILBERT_VARIANTS:
         stream = sum(ord(ch) for ch in variant)  # stable across runs
-        rng = np.random.default_rng([seed, stream])
+        rng = np.random.default_rng([_HILBERT_SEED, stream])
         for i in range(seeds):
-            f = random_kernel(rng, size, size,
+            f = random_kernel(rng, _HILBERT_SIZE, _HILBERT_SIZE,
                               symmetric_measures=(variant == "antisym"))
             if variant == "mixture":
                 a = complex(rng.normal(), rng.normal())
@@ -426,10 +426,9 @@ def run_cosine_suite(n_alphas: int = 50, tol: float = 1e-6) -> list:
     return violations
 
 
-def run_laplace_suite(n_dists: int = 20, tol: float = 1e-6,
-                      seed: int = 7004) -> list:
+def run_laplace_suite(n_dists: int = 20, tol: float = 1e-6) -> list:
     violations = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_LAPLACE_SEED)
     for i in range(n_dists):
         w = random_positive_dist(rng)
         lhs, rhs = laplace_log_identity(w)

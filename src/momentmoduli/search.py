@@ -7,15 +7,16 @@ the ratio strictly increases.  Accepted configurations are rescaled to unit
 cross moment (ratios are scale-invariant, so this only prevents numeric
 drift).
 
-The loop's state is the two laws' atom stacks and probabilities, with no
-law objects.  Every evaluation recomputes the ratio from scratch -- there is
-no incremental state to drift.  A roundness or mixture value comes from a
-value-only evaluator, one kernel call on the joint stack of both laws whose
-blocks are reduced exactly as the moment functionals reduce them, so it
-equals the moduli module's value bit for bit; a barycenter value builds the
-configuration and goes through the moduli module, whose solve dominates.
-Each restart's start and the winning configuration go through the moduli
-module too (``certify_ratio``), and the latter's value is the one reported.
+A configuration is the two laws' atom stacks and probabilities, with no
+law objects, from each restart's start (a warm start or a random draw) to
+its last proposal.  One value-only evaluator prices them all and recomputes
+each ratio from scratch -- there is no incremental state to drift.  A
+roundness or mixture value is one kernel call on the joint stack of both
+laws whose blocks are reduced exactly as the moment functionals reduce them,
+so it equals the moduli module's value bit for bit; a barycenter value
+builds the configuration and goes through the moduli module, whose solve
+dominates.  Only the winning configuration goes through ``certify_ratio``,
+and its value is the one reported.
 
 Results are empirical lower bounds on the suprema being probed, never
 proofs, and are labeled as such in serialized output.
@@ -29,6 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .constructions import _disjoint_bernoulli_stacks, _parallelogram_rows
 from .distributions import Config, FiniteDist, check_probs, cross_moment, stack_mean
 from .moduli import (
     DegenerateRatioError,
@@ -103,9 +105,9 @@ class SearchResult:
 
 def certify_ratio(config: Config, objective: str) -> float:
     """Value of record: a from-scratch ratio computation through the moduli
-    module, with no search state.  The search calls it on each restart's
-    start and on its result; its proposals are priced by a value-only
-    evaluator that gives the same bits."""
+    module, with no search state.  The search calls it on its result; its
+    starts and proposals are priced by a value-only evaluator that gives the
+    same bits."""
     if objective == "roundness":
         return roundness_ratio(config).value
     if objective == "mixture":
@@ -115,58 +117,48 @@ def certify_ratio(config: Config, objective: str) -> float:
     raise ValueError(f"objective must be one of {OBJECTIVES}")
 
 
-def _try_ratio(config: Config, objective: str) -> Optional[float]:
-    """The ratio, or None for a degenerate or non-finite one; any other
-    error is a fault and propagates."""
-    try:
-        v = certify_ratio(config, objective)
-    except DegenerateRatioError:
-        return None
-    if not math.isfinite(v):
-        return None
-    return v
-
-
 # --------------------------------------------------------------------------
-# Initial configurations
+# Search state: initial configurations and their value
 # --------------------------------------------------------------------------
 
-def _random_dist(space: Space, rng: np.random.Generator, n_atoms: int,
-                 dim: int) -> FiniteDist:
+# (X stack, X probs, Y stack, Y probs): the laws of a configuration, with no
+# law objects around them
+State = Tuple[AtomStack, np.ndarray, AtomStack, np.ndarray]
+
+
+def _uniform(stack: AtomStack) -> Tuple[AtomStack, np.ndarray]:
+    n = len(stack)
+    return stack, check_probs(np.full(n, 1.0 / n), n)
+
+
+def _random_law(space: Space, rng: np.random.Generator, n_atoms: int,
+                dim: int) -> Tuple[AtomStack, np.ndarray]:
     if isinstance(space, RealLine):
         rows = rng.normal(size=n_atoms)
     else:
         rows = np.stack([rng.normal(size=dim) + 1j * rng.normal(size=dim)
                          for _ in range(n_atoms)])
-    return FiniteDist.uniform(space, AtomStack(space, rows))
+    return _uniform(AtomStack(space, rows))
 
 
-def _warm_start(spec: SearchSpec) -> Optional[Config]:
-    if spec.objective != "roundness":
+def _warm_start(spec: SearchSpec) -> Optional[State]:
+    """The roundness extremizers of the l_q and parallelogram constructions
+    (at any p), cut to the atom bounds; None elsewhere."""
+    space, n = spec.space, min(spec.max_atoms_x, spec.max_atoms_y)
+    if spec.objective != "roundness" or n < 2:
         return None
-    if isinstance(spec.space, WeightedLq) and spec.space.q < INF:
-        n = min(spec.max_atoms_x, spec.max_atoms_y, 8)
-        if n < 2:
-            return None
-        from .constructions import make_disjoint_bernoulli
-        nc = make_disjoint_bernoulli(n, spec.space.q, max(spec.p, 1.0))
-        if nc.config.p != spec.p:
-            return Config(nc.config.space, nc.config.X, nc.config.Y, spec.p)
-        return nc.config
-    if isinstance(spec.space, ParallelogramS1):
-        m = min(spec.space.n, spec.max_atoms_x, spec.max_atoms_y)
-        if m < 2:
-            return None
-        from .constructions import _parallelogram_rows
-        xs, ys = _parallelogram_rows(spec.space.n, m)
-        return Config(spec.space,
-                      FiniteDist.uniform(spec.space, AtomStack(spec.space, xs)),
-                      FiniteDist.uniform(spec.space, AtomStack(spec.space, ys)), spec.p)
-    return None
+    if isinstance(space, WeightedLq) and space.q < INF:
+        xs, ys = _disjoint_bernoulli_stacks(space, min(n, 8))
+    elif isinstance(space, ParallelogramS1) and space.n >= 2:
+        m = min(n, space.n)
+        xs, ys = (AtomStack(space, rows) for rows in _parallelogram_rows(space.n, m))
+    else:
+        return None
+    return (*_uniform(xs), *_uniform(ys))
 
 
-def _initial_config(spec: SearchSpec, restart: int,
-                    rng: np.random.Generator) -> Config:
+def _initial_state(spec: SearchSpec, restart: int,
+                   rng: np.random.Generator) -> State:
     if restart == 0:
         warm = _warm_start(spec)
         if warm is not None:
@@ -177,18 +169,8 @@ def _initial_config(spec: SearchSpec, restart: int,
         dim = 2 * max(spec.max_atoms_x, spec.max_atoms_y) if spec.dim is None else spec.dim
     nx = int(rng.integers(1, spec.max_atoms_x + 1))
     ny = int(rng.integers(1, spec.max_atoms_y + 1))
-    return Config(spec.space,
-                  _random_dist(spec.space, rng, nx, dim),
-                  _random_dist(spec.space, rng, ny, dim), spec.p)
-
-
-# --------------------------------------------------------------------------
-# Search state and its value
-# --------------------------------------------------------------------------
-
-# (X stack, X probs, Y stack, Y probs): the laws of a configuration, with no
-# law objects around them
-State = Tuple[AtomStack, np.ndarray, AtomStack, np.ndarray]
+    return (*_random_law(spec.space, rng, nx, dim),
+            *_random_law(spec.space, rng, ny, dim))
 
 
 def _config(spec: SearchSpec, state: State) -> Config:
@@ -204,9 +186,11 @@ def _moment(a: np.ndarray, block: np.ndarray, b: np.ndarray) -> float:
 
 
 def _evaluate(spec: SearchSpec, state: State) -> Tuple[Optional[float], float]:
-    """The ratio of ``state`` -- None for a degenerate or non-finite one --
-    and its denominator E d(X, Y)^p, both bit for bit as ``certify_ratio``
-    and ``cross_moment`` compute them.
+    """The ratio of ``state`` and its denominator E d(X, Y)^p, both bit for
+    bit as ``certify_ratio`` and ``cross_moment`` compute them.  The ratio is
+    None where ``certify_ratio`` finds it degenerate or out of the float
+    range, or where it is not finite; any other error is a fault and
+    propagates.
 
     A roundness or mixture value is one kernel call on the joint stack,
     [X; Y] x [X; Y] or [X; Y] x [Y; z] with z the midpoint of the means,
@@ -215,8 +199,12 @@ def _evaluate(spec: SearchSpec, state: State) -> Tuple[Optional[float], float]:
     """
     if spec.objective == "barycenter":
         config = _config(spec, state)
-        return (_try_ratio(config, spec.objective),
-                cross_moment(config.X, config.Y, spec.p))
+        den = cross_moment(config.X, config.Y, spec.p)
+        try:
+            v = barycenter_ratio(config).value
+        except (DegenerateRatioError, OverflowError):
+            return None, den
+        return (v if math.isfinite(v) else None), den
     xs, xp, ys, yp = state
     nx = len(xs)
     joint = xs.concat(ys)
@@ -230,7 +218,7 @@ def _evaluate(spec: SearchSpec, state: State) -> Tuple[Optional[float], float]:
         den = _moment(xp, m[:nx, :-1], yp)
         num = float(xp @ np.ascontiguousarray(m[:nx, -1])
                     + yp @ np.ascontiguousarray(m[nx:, -1]))
-    if den <= 0.0:
+    if not 0.0 < den < math.inf:
         return None, den
     v = num / den
     return (v if math.isfinite(v) else None), den
@@ -321,17 +309,14 @@ def run_search(spec: SearchSpec) -> SearchResult:
 
     for restart in range(spec.restarts):
         rng = np.random.default_rng([spec.seed, restart])
-        config = _initial_config(spec, restart, rng)
-        ratio = _try_ratio(config, spec.objective)
-        attempts = 0
-        while ratio is None and attempts < 50:
-            config = _initial_config(spec, restart, rng)
-            ratio = _try_ratio(config, spec.objective)
-            attempts += 1
-        if ratio is None:
+        for _ in range(51):                 # a start and up to 50 redraws
+            state = _initial_state(spec, restart, rng)
+            ratio, den = _evaluate(spec, state)
+            if ratio is not None:
+                break
+        else:
             continue
-        state = config.X.stack, config.X.probs, config.Y.stack, config.Y.probs
-        norm = _normalized(state, cross_moment(config.X, config.Y, spec.p), spec.p)
+        norm = _normalized(state, den, spec.p)
         if norm is not None:
             r_norm, _ = _evaluate(spec, norm)
             if r_norm is not None and r_norm >= ratio:
@@ -361,7 +346,9 @@ def run_search(spec: SearchSpec) -> SearchResult:
             best_trace = tuple(trace)
 
     if best_state is None:
-        raise RuntimeError("search failed to produce any valid configuration")
+        # random starts are nondegenerate almost surely, so their moments
+        # overflowed or vanished
+        raise OverflowError("no start of the search has a finite, nondegenerate ratio")
 
     best_config = _config(spec, best_state)
     certified = certify_ratio(best_config, spec.objective)

@@ -22,8 +22,7 @@ space kinds:
 The atoms of one distribution live in an :class:`AtomStack`, one array whose
 row values are checked there and nowhere else.  JSON atoms go straight into a
 stack and back (``stack_from_json``, ``stack_to_json``); ``stack_points``
-stacks point objects, checking only their type, and ``validate_point`` is its
-one-point form.  ``pairwise_powered`` runs one batched kernel per space kind
+stacks point objects, checking only their type.  ``pairwise_powered`` runs one batched kernel per space kind
 on two stacks, and ``distance`` is its one-pair form.
 """
 
@@ -52,7 +51,6 @@ __all__ = [
     "distance",
     "pairwise_powered",
     "is_linear",
-    "validate_point",
     "space_to_json",
     "space_from_json",
     "json_number",
@@ -433,12 +431,6 @@ def stack_points(space: Space, pts) -> AtomStack:
     if not (np.stack([x.weights for x in pts]) == w).all():
         raise ValueError("all atoms of one distribution must share weights")
     return AtomStack(base, array, w)
-
-
-def validate_point(space: Space, x: Point) -> None:
-    """Check one point against ``space``: the one-point form of
-    ``stack_points``."""
-    stack_points(space, [x])
 
 
 def _lq_powered(absd: np.ndarray, w: np.ndarray, q: float, p: float) -> np.ndarray:

@@ -317,9 +317,17 @@ _GRAPH_CONFIG = {
       "X": {"atoms": [[[[1, 0], [0, 0]]]], "probs": [1.0]},
       "Y": {"atoms": [[[[0, 0], [1, 0]]]], "probs": [1.0]}, "p": 1.0}, "square"),
     ({**_LQ_CONFIG, "X": {"atoms": [], "probs": []}}, "at least one atom"),
+    # the moments overflow (a distance of 1e300 to the power 1.5), the ratios
+    # do not; numpy says so
+    pytest.param({"space": {"kind": "weighted_lq", "q": 1.0},
+                  "X": {"atoms": [[[0, 0], [0, 0]]], "probs": [1.0]},
+                  "Y": {"atoms": [[[0, 0], [1e300, 0]]], "probs": [1.0]}, "p": 1.5},
+                 "floating-point range",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
 ], ids=["p-overflows-the-bounds", "prob-nan", "prob-huge-int", "weights-object",
         "vertex-index-fraction", "vertex-index-inf", "real-atom-huge-int",
-        "vertex-index-huge-int", "vertex-side", "schatten-non-square", "no-atoms"])
+        "vertex-index-huge-int", "vertex-side", "schatten-non-square", "no-atoms",
+        "moments-overflow"])
 def test_ratio_out_of_range_or_malformed_values_exit_2(capsys, tmp_path, config, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
@@ -435,3 +443,45 @@ def test_check_flag_the_suite_does_not_take_exits_2(capsys, suite, flag, value):
     code, out, err = run_cli(["check", suite, f"--{flag}", value], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: check {suite} takes no --{flag}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["verify", "two-point", "--p", "2", "--n", "5"], "two-point takes no --n"),
+    (["verify", "bipartite", "--n", "3", "--p", "2", "--q", "7"], "bipartite takes no --q"),
+    (["verify", "eps-atom", "--p", "2", "--eps", "0.1", "--q", "2"], "eps-atom takes no --q"),
+    (["sweep", "--construction", "two-point", "--p", "2", "--eps", "0.5"],
+     "two-point takes no --eps"),
+    (["sweep", "--construction", "fn", "--n", "2", "--q", "2", "--p", "1", "--eps", "0.5"],
+     "fn takes no --eps"),
+    (_SEARCH + ["--space", "realline", "--q", "3", "--dim", "4", "--p", "1"],
+     "--space realline takes no --q"),
+    (_SEARCH + ["--space", "realline", "--dim", "4", "--p", "1"],
+     "--space realline takes no --dim"),
+    (_SEARCH + ["--space", "s1par", "--n", "2", "--dim", "9", "--p", "1"],
+     "--space s1par takes no --dim"),
+    (_SEARCH + ["--space", "s1par", "--n", "2", "--q", "2", "--p", "1"],
+     "--space s1par takes no --q"),
+    (_SEARCH + ["--space", "lq", "--q", "2", "--n", "3", "--p", "1"],
+     "--space lq takes no --n"),
+    # a missing flag is reported first, with its message as it was
+    (["verify", "fn", "--p", "1", "--eps", "2"], "fn needs --n and --q"),
+    (_SEARCH + ["--space", "lq", "--n", "3", "--p", "1"], "--space lq needs --q"),
+    (_SEARCH + ["--space", "s1par", "--q", "2", "--p", "1"], "--space s1par needs --n"),
+], ids=["verify-two-point-n", "verify-bipartite-q", "verify-eps-atom-q",
+        "sweep-two-point-eps", "sweep-fn-eps", "search-realline-q", "search-realline-dim",
+        "search-s1par-dim", "search-s1par-q", "search-lq-n",
+        "verify-fn-missing-first", "search-lq-missing-first", "search-s1par-missing-first"])
+def test_flag_the_target_does_not_take_exits_2(capsys, args, message):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+# every start's moments overflow at this exponent, and numpy says so
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("space", [["realline"], ["lq", "--q", "2"]], ids=["realline", "lq"])
+def test_search_whose_moments_all_overflow_exits_2(capsys, space):
+    code, out, err = run_cli(_SEARCH + ["--space", *space, "--p", "1e6"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: a value leaves the floating-point range: "
+                   "no start of the search has a finite, nondegenerate ratio\n")

@@ -222,6 +222,18 @@ def test_hilbert_antisym_requires_symmetric_measures(rng):
         verify_scalar_hilbert(f, "antisym")
 
 
+@pytest.mark.parametrize("mu,nu,message", [
+    ([float("nan"), 1.0], [1.0], "nonnegative"),
+    ([1.0], [float("nan")], "nonnegative"),
+    ([float("inf"), 0.0], [1.0], "sum to 1"),
+    ([1.5, -0.5], [1.0], "nonnegative"),
+    ([1.0], [0.5, -0.5, 1.0], "nonnegative"),
+], ids=["mu-nan", "nu-nan", "mu-inf", "mu-negative", "nu-negative"])
+def test_kernel_matrix_masses_follow_the_probability_rule(mu, nu, message):
+    with pytest.raises(ValueError, match=message):
+        KernelMatrix(mu, nu, np.ones((len(mu), len(nu))))
+
+
 def test_hilbert_unknown_variant():
     f = random_kernel(np.random.default_rng(0), 2, 2)
     with pytest.raises(ValueError):

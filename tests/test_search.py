@@ -133,11 +133,14 @@ def test_search_result_config_reverifies_from_json():
         r.best_ratio, rel=1e-12)
 
 
-def test_search_propagates_faults_other_than_degenerate_ratios(monkeypatch):
-    def faulty(config):
+# the ratio of record and the evaluator's kernel: a fault in either is not a
+# degenerate ratio and must not be skipped as one
+@pytest.mark.parametrize("name", ["roundness_ratio", "pairwise_powered"])
+def test_search_propagates_faults_other_than_degenerate_ratios(monkeypatch, name):
+    def faulty(*args):
         raise ValueError("kernel fault")
 
-    monkeypatch.setattr(search, "roundness_ratio", faulty)
+    monkeypatch.setattr(search, name, faulty)
     spec = SearchSpec(space=RealLine(), objective="roundness", p=1.0,
                       budget=10, restarts=1, seed=0)
     with pytest.raises(ValueError, match="kernel fault"):
@@ -150,9 +153,10 @@ def _atom_bytes(dist):
 
 # best ratio, number of trace entries, sha256 of repr(trace) and of the best
 # configuration's atom and probability bytes (X then Y).  The first two were
-# computed before the atoms were stacked, the other three while each proposal
-# still built its laws and configuration; the search must reproduce them bit
-# for bit
+# computed before the atoms were stacked, the next three while each proposal
+# still built its laws and configuration, the last two while each restart's
+# start still went through ``certify_ratio``; the search must reproduce them
+# bit for bit
 GOLDEN = [
     (SearchSpec(space=WeightedLq(3.0), objective="roundness", p=1.5,
                 budget=150, restarts=2, seed=2024),
@@ -179,12 +183,25 @@ GOLDEN = [
      1.8280955316521785, 6,
      "759bed98b5df319dd0e0a7d68ef1c6acda0a9fee399b9f3c79f5b30f0c1f20d6",
      "af74662a05356133ea5c40ec48d5dc49183fd45d5bdc1bddc0e1de0c6f7d8c1a"),
+    # one restart, so the result climbs from the warm start; at p = 0.5 the
+    # l_q warm start is the disjoint-Bernoulli construction built at p = 1
+    (SearchSpec(space=ParallelogramS1(3), objective="roundness", p=1.0,
+                budget=150, restarts=1, seed=3),
+     2.0244278992889213, 27,
+     "ce1b8959512493f15ec31f307d615336a508cbe4322094c9ee7a8418ff16a962",
+     "f5dc56c7b833dde08b91dc452ffe66633fb556070698b7fda1fda0e34a7017e3"),
+    (SearchSpec(space=WeightedLq(2.0), objective="roundness", p=0.5,
+                budget=150, restarts=1, seed=5),
+     1.5853873637311373, 32,
+     "012571b9d1e5c4cab48909a87de5f83eef54971c800c32168765b17c4b0c0bbd",
+     "f58a7e1c93cddd5f849d7bc44aa715a3498daa4fab57c48014d1e056cbf4eae8"),
 ]
 
 
 @pytest.mark.parametrize("spec,ratio,n_trace,trace_sha,atoms_sha", GOLDEN,
                          ids=["lq3-roundness", "s1par2-mixture", "realline-roundness",
-                              "lqinf-roundness", "realline-barycenter"])
+                              "lqinf-roundness", "realline-barycenter",
+                              "s1par3-warm-roundness", "lq2-warm-roundness-p05"])
 def test_search_golden_values(spec, ratio, n_trace, trace_sha, atoms_sha):
     r = run_search(spec)
     assert r.best_ratio == ratio
@@ -261,3 +278,16 @@ def test_search_evaluator_matches_certify_ratio_bit_for_bit(case):
         ref = None
     assert repr(value) == repr(ref)
     assert repr(den) == repr(cross_moment(x, y, spec.p))
+
+
+# a distance of 1e300 to the power 1.5 overflows, and numpy says so
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("objective", search.OBJECTIVES)
+def test_search_evaluator_rejects_moments_out_of_the_float_range(objective):
+    space = RealLine()
+    x = FiniteDist(space, AtomStack(space, np.array([0.0, 1.0])), np.array([0.5, 0.5]))
+    y = FiniteDist(space, AtomStack(space, np.array([1e300])), np.array([1.0]))
+    spec = SearchSpec(space=space, objective=objective, p=1.5)
+    assert search._evaluate(spec, (x.stack, x.probs, y.stack, y.probs)) == (None, math.inf)
+    with pytest.raises(OverflowError, match="not finite"):
+        certify_ratio(Config(space, x, y, spec.p), objective)

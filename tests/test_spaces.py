@@ -25,7 +25,6 @@ from momentmoduli.spaces import (
     space_from_json,
     space_to_json,
     stack_points,
-    validate_point,
 )
 
 ALL_SPACES = [
@@ -206,7 +205,7 @@ def test_point_space_mismatch_rejected():
     with pytest.raises(SpaceMismatchError):
         distance(RealLine(), CVector.zeros(2), CVector.zeros(2))
     with pytest.raises(SpaceMismatchError):
-        validate_point(BipartiteGraph(2), GraphVertex("L", 5))
+        stack_points(BipartiteGraph(2), [GraphVertex("L", 5)])
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=str)
