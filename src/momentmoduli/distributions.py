@@ -81,7 +81,8 @@ class FiniteDist:
     ``atoms`` is a sequence of points or an :class:`AtomStack`.  The law
     stores its atoms only as the AtomStack ``stack``, checked once here, on
     which the moments and the search work; read back, ``atoms`` are point
-    objects made from the stack on first use.
+    objects made from the stack on first use.  Atoms of probability 0 are
+    checked, then dropped: the stored atoms are the law's support.
     """
 
     space: Space
@@ -97,6 +98,10 @@ class FiniteDist:
             raise ValueError("a distribution needs at least one atom")
         check_probs(probs, len(atoms))
         stack = stack_points(self.space, atoms)
+        if not probs.all():
+            stack = stack.with_array(stack.array[probs > 0])
+            probs = probs[probs > 0]
+            probs.setflags(write=False)
         object.__delattr__(self, "atoms")
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "probs", probs)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .distributions import (
     FiniteDist,
     centered_moment,
     cross_moment,
-    log_cross_moment,
     mean_row,
     self_moment,
 )
@@ -47,7 +46,6 @@ from .spaces import (
     INF,
     BipartiteGraph,
     ParallelogramS1,
-    Point,
     RealLine,
     Schatten,
     Snowflake,
@@ -57,7 +55,6 @@ from .spaces import (
     is_linear,
     pairwise_powered,
     space_to_json,
-    stack_points,
 )
 
 __all__ = [
@@ -257,11 +254,14 @@ def barycenter_ratio(config: Config) -> RatioReport:
     For p >= 1 the infimum comes from the convex solver; for p in (0, 1) the
     objective is evaluated in expectation over z drawn from the mixture of
     the two laws (optimization is unreliable in the non-convex range, and
-    that admissible-z value already realizes the sharp constant).
+    that admissible-z value already realizes the sharp constant).  Neither
+    runs over a denominator that left the float range.
     """
     den = cross_moment(config.X, config.Y, config.p)
     if den <= 0.0:
         raise DegenerateRatioError("barycenter denominator vanished", float("nan"), den)
+    if not math.isfinite(den):
+        raise OverflowError(f"Barycenter moments are not finite (denominator={den})")
     bound = _mixture_bound(config.space, config.p)
     if config.p >= 1.0:
         cert = minimize_barycenter(config)
@@ -269,30 +269,23 @@ def barycenter_ratio(config: Config) -> RatioReport:
     return _report("Barycenter", mixture_draw_bound(config), den, bound)
 
 
-def metric_barycenter_ratio(config: Config,
-                            candidates: Optional[Sequence[Point]] = None) -> RatioReport:
+def metric_barycenter_ratio(config: Config) -> RatioReport:
     """Exact barycenter minimum over a finite candidate set of center points.
 
-    Default candidates: the union of the two supports, and for a bipartite
-    graph every vertex.  They form one stack; each law's distances to all of
+    The candidates are the union of the two supports and, on a bipartite
+    graph, the first vertex outside them per side, as far from each atom as
+    any other there.  They form one stack; each law's distances to all of
     them come from one kernel call.
     """
-    if candidates is None:
-        zs = config.X.stack.concat(config.Y.stack)
-        if isinstance(config.space, BipartiteGraph):
-            # a vertex outside the supports is as far from each atom as any
-            # other there on its side: the first such one per side stands in
-            rows = [zs.array]
-            for side in (1, 0):
-                taken = set(zs.array[zs.array[:, 0] == side, 1].tolist())
-                free = min(set(range(len(taken) + 1)) - taken)
-                if free < config.space.n:
-                    rows.append([(side, free)])
-            zs = zs.with_array(np.concatenate(rows))
-    elif len(candidates) == 0:
-        raise ValueError("metric_barycenter_ratio needs a nonempty candidate set")
-    else:
-        zs = stack_points(config.space, candidates)
+    zs = config.X.stack.concat(config.Y.stack)
+    if isinstance(config.space, BipartiteGraph):
+        rows = [zs.array]
+        for side in (1, 0):
+            taken = set(zs.array[zs.array[:, 0] == side, 1].tolist())
+            free = min(set(range(len(taken) + 1)) - taken)
+            if free < config.space.n:
+                rows.append([(side, free)])
+        zs = zs.with_array(np.concatenate(rows))
     den = cross_moment(config.X, config.Y, config.p)
     # one contiguous row per candidate, so that each candidate's sum is the
     # same dot product as for that candidate alone
@@ -312,19 +305,11 @@ def metric_barycenter_ratio(config: Config,
 
 
 def log_roundness_report(config: Config) -> RatioReport:
-    """Gap E log d(X,X') + E log d(Y,Y') - 2 E log d(X,Y); values <= 0 (and
-    in particular -inf, which any atomic law produces) satisfy the
-    multiplicative roundness inequality."""
-    lhs = log_cross_moment(config.X, config.X) + log_cross_moment(config.Y, config.Y)
-    rhs = 2.0 * log_cross_moment(config.X, config.Y)
-    if lhs == float("-inf"):
-        gap = float("-inf")
-    elif rhs == float("-inf"):
-        # cannot happen for finite lhs: a shared atom forces lhs = -inf too
-        gap = float("inf")
-    else:
-        gap = lhs - rhs
-    return RatioReport("LogRoundness", gap, 0.0, 0.0 - gap)
+    """Gap E log d(X,X') + E log d(Y,Y') - 2 E log d(X,Y) of the multiplicative
+    roundness inequality (which holds where it is <= 0): -inf on every finite
+    law, with no distance computed, since an independent copy X' equals X
+    with probability sum_i p_i^2 > 0, so E log d(X, X') = -inf."""
+    return RatioReport("LogRoundness", -math.inf, 0.0, math.inf)
 
 
 def all_reports(config: Config) -> List[RatioReport]:

@@ -225,10 +225,8 @@ def _evaluate(spec: SearchSpec, state: State) -> Tuple[Optional[float], float]:
 
 
 def _normalized(state: State, den: float, p: float) -> Optional[State]:
-    """All atoms rescaled so that the cross moment ``den`` becomes 1 (ratios
-    are invariant), or None where it cannot be."""
-    if den <= 0 or not math.isfinite(den):
-        return None
+    """All atoms rescaled so that the cross moment ``den`` in (0, inf), as
+    ``_evaluate`` accepted it, becomes 1 (ratios are invariant), or None."""
     lam = den ** (-1.0 / p)
     if not math.isfinite(lam) or lam == 0:
         return None

@@ -437,12 +437,10 @@ def _lq_powered(absd: np.ndarray, w: np.ndarray, q: float, p: float) -> np.ndarr
     """(sum_k w_k absd_k^q)^(p/q) over the last axis of nonnegative ``absd``.
 
     The rows whose sum overflows, or underflows to zero while a weighted entry
-    is nonzero, are recomputed scaled by their largest weighted entry, so the
-    first pass runs with floating-point warnings off.
+    is nonzero, are recomputed scaled by their largest weighted entry.
     """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        terms = absd ** q * w
-        s = terms.sum(axis=-1)
+    terms = absd ** q * w
+    s = terms.sum(axis=-1)
     out = s ** (p / q)
     # cheap gate: no row sum overflowed and no term underflowed to zero
     if not s.max() < INF or np.count_nonzero(terms) != np.count_nonzero(absd):
@@ -469,6 +467,7 @@ def _parallelogram(c: np.ndarray):
     return 0.5 * (np.sqrt(s + 2.0 * lam) + np.sqrt(np.clip(s - 2.0 * lam, 0.0, None))), s
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
     """Matrix of d(x, y)^p over xs x ys.
 
@@ -480,7 +479,9 @@ def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
     whose sum of q-th powers overflows, or underflows to zero while the
     points differ, are recomputed scaled by the pair's largest entry.
     ParallelogramS1 pairs whose squared length leaves [1e-100, 1e100] are
-    likewise recomputed scaled by their largest |c_k|.
+    likewise recomputed scaled by their largest |c_k|.  Numpy's float
+    warnings are off: a power that truly overflows is inf, which the ratios
+    report once.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive")
@@ -511,9 +512,8 @@ def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
     if isinstance(space, ParallelogramS1):
         c = e[:, None, :] - f[None, :, :]
         # rr * ii overflows above the band and underflows below it; those
-        # pairs are recomputed, so the first pass runs with warnings off
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            d, s = _parallelogram(c)
+        # pairs are recomputed
+        d, s = _parallelogram(c)
         bad = ~(s <= 1e100)
         tiny = s < 1e-100
         bad[tiny] = c[tiny].any(axis=-1)

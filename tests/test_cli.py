@@ -300,10 +300,17 @@ _GRAPH_CONFIG = {
 }
 
 
+_OVERFLOW_CONFIG = {
+    "space": {"kind": "weighted_lq", "q": 1.0},
+    "X": {"atoms": [[[0, 0], [0, 0]]], "probs": [1.0]},
+    "Y": {"atoms": [[[0, 0], [1e300, 0]]], "probs": [1.0]},
+    "p": 1.5,
+}
+
+
 @pytest.mark.parametrize("config,message", [
-    # the moments overflow for real here, and numpy says so
-    pytest.param({**_LQ_CONFIG, "p": 1e6}, "floating-point range",
-                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+    # the moments overflow for real here
+    ({**_LQ_CONFIG, "p": 1e6}, "floating-point range"),
     ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": ["nan"]}}, "nonnegative"),
     ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": [10 ** 400]}}, "probabilities"),
     ({**_LQ_CONFIG, "X": {"atoms": [[[1, 0]]], "probs": [1.0], "weights": {}}}, "'weights'"),
@@ -318,12 +325,8 @@ _GRAPH_CONFIG = {
       "Y": {"atoms": [[[[0, 0], [1, 0]]]], "probs": [1.0]}, "p": 1.0}, "square"),
     ({**_LQ_CONFIG, "X": {"atoms": [], "probs": []}}, "at least one atom"),
     # the moments overflow (a distance of 1e300 to the power 1.5), the ratios
-    # do not; numpy says so
-    pytest.param({"space": {"kind": "weighted_lq", "q": 1.0},
-                  "X": {"atoms": [[[0, 0], [0, 0]]], "probs": [1.0]},
-                  "Y": {"atoms": [[[0, 0], [1e300, 0]]], "probs": [1.0]}, "p": 1.5},
-                 "floating-point range",
-                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+    # do not
+    (_OVERFLOW_CONFIG, "floating-point range"),
 ], ids=["p-overflows-the-bounds", "prob-nan", "prob-huge-int", "weights-object",
         "vertex-index-fraction", "vertex-index-inf", "real-atom-huge-int",
         "vertex-index-huge-int", "vertex-side", "schatten-non-square", "no-atoms",
@@ -407,23 +410,61 @@ def test_ratio_string_atom_or_weights_without_vectors_exits_2_naming_the_field(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config,far", [
+    ({"space": {"kind": "real_line"},
+      "X": {"atoms": [0.0], "probs": [1.0]},
+      "Y": {"atoms": [1.0, 2.0], "probs": [0.5, 0.5]}, "p": 1.5}, 1e300),
+    ({"space": {"kind": "weighted_lq", "q": 2.0},
+      "X": {"atoms": [[[0, 0], [0, 0]]], "probs": [1.0]},
+      "Y": {"atoms": [[[1, 0], [0, 1]], [[2, 0], [0, 0]]], "probs": [0.5, 0.5]}, "p": 1.5},
+     [[1e300, 0], [0, 0]]),
+], ids=["real_line", "weighted_lq"])
+def test_ratio_of_a_law_with_a_zero_mass_atom_is_that_of_its_support(
+        capsys, tmp_path, config, far):
+    # the atom's powers overflow, and would poison the moments with 0 * inf
+    padded = {**config, "X": {"atoms": config["X"]["atoms"] + [far], "probs": [1.0, 0.0]}}
+    outs = []
+    for name, obj in (("support", config), ("padded", padded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(["ratio", "--config", str(path)], capsys)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_ratio_at_extreme_magnitudes_writes_nothing_to_stderr(tmp_path):
     # the kernels recompute the pairs whose powers over- or underflow; the
     # first pass must not leak numpy's warnings into the output
-    config = {"space": {"kind": "weighted_lq", "q": 3},
-              "X": {"atoms": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]],
-                    "probs": [0.5, 0.5]},
-              "Y": {"atoms": [[[-1e200, 0], [2e200, 0]]], "probs": [1.0]},
-              "p": 1}
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(Path(momentmoduli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "momentmoduli.cli", "ratio",
-                           "--config", str(path)], capture_output=True, text=True,
-                          env=env)
+
+    def run(args):
+        return subprocess.run([sys.executable, "-m", "momentmoduli.cli", *args],
+                              capture_output=True, text=True, env=env)
+
+    def ratio(config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return run(["ratio", "--config", str(path)])
+
+    proc = ratio({"space": {"kind": "weighted_lq", "q": 3},
+                  "X": {"atoms": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]],
+                        "probs": [0.5, 0.5]},
+                  "Y": {"atoms": [[[-1e200, 0], [2e200, 0]]], "probs": [1.0]},
+                  "p": 1})
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "Roundness" in proc.stdout
+    # a power that overflows for real is reported once, as the error alone
+    proc = ratio(_OVERFLOW_CONFIG)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: a value leaves the floating-point range: Roundness "
+                           "moments are not finite (numerator=0.0, denominator=inf)\n")
+    proc = run(["search", "--space", "realline", "--objective", "roundness",
+                "--p", "1e6", "--budget", "10", "--seed", "1"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: a value leaves the floating-point range: "
+                           "no start of the search has a finite, nondegenerate ratio\n")
 
 
 @pytest.mark.parametrize("suite,flag,value", [
@@ -477,8 +518,7 @@ def test_flag_the_target_does_not_take_exits_2(capsys, args, message):
     assert err == f"error: {message}\n"
 
 
-# every start's moments overflow at this exponent, and numpy says so
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# every start's moments overflow at this exponent
 @pytest.mark.parametrize("space", [["realline"], ["lq", "--q", "2"]], ids=["realline", "lq"])
 def test_search_whose_moments_all_overflow_exits_2(capsys, space):
     code, out, err = run_cli(_SEARCH + ["--space", *space, "--p", "1e6"], capsys)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dist
+from momentmoduli import distributions, moduli
 from momentmoduli.constructions import (
     make_bipartite,
     make_disjoint_bernoulli,
@@ -459,12 +460,6 @@ def test_metric_barycenter_never_exceeds_bound(rng):
             assert rep.value <= 2.0 ** p + 1.0 + 1e-12
 
 
-def test_metric_barycenter_empty_candidates_rejected():
-    nc = make_bipartite(2, 1.0)
-    with pytest.raises(ValueError):
-        metric_barycenter_ratio(nc.config, candidates=[])
-
-
 def test_metric_barycenter_single_atom_trivial_zero():
     d = FiniteDist.delta(RL, 3.0)
     rep = metric_barycenter_ratio(Config(RL, d, d, 2.0))
@@ -475,19 +470,37 @@ def test_metric_barycenter_atom_candidates_on_real_line():
     x = FiniteDist.uniform(RL, [0.0, 1.0])
     y = FiniteDist.delta(RL, 2.0)
     rep = metric_barycenter_ratio(Config(RL, x, y, 1.0))
-    # candidates default to the union of supports: try z in {0, 1, 2}
+    # the candidates are the union of supports: try z in {0, 1, 2}
     best = min(barycenter_objective(Config(RL, x, y, 1.0), z) for z in (0.0, 1.0, 2.0))
     assert rep.value == pytest.approx(best / cross_moment(x, y, 1.0), rel=1e-14)
 
 
+def test_barycenter_over_an_infinite_denominator_raises_without_a_solve(monkeypatch):
+    # E d(X, Y)^1.5 overflows at a distance of 1e300: the ratio is rejected
+    # before the solver runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("minimize_barycenter ran")
+
+    monkeypatch.setattr(moduli, "minimize_barycenter", no_solve)
+    x = FiniteDist.uniform(RL, [0.0, 1.0])
+    y = FiniteDist.delta(RL, 1e300)
+    with pytest.raises(OverflowError, match="Barycenter moments are not finite"):
+        barycenter_ratio(Config(RL, x, y, 1.5))
+
+
 # ---------------------------------------------------------------- log roundness
 
-def test_log_roundness_atomic_cases():
+def test_log_roundness_atomic_cases(monkeypatch):
+    # atomic self-pairs force -inf, so the report computes no distance
+    def no_kernel(*args):
+        raise AssertionError("pairwise_powered ran")
+
+    monkeypatch.setattr(distributions, "pairwise_powered", no_kernel)
+    monkeypatch.setattr(moduli, "pairwise_powered", no_kernel)
     a = FiniteDist.uniform(RL, [0.0, 2.0])
     b = FiniteDist.uniform(RL, [1.0, 3.0])
     rep = log_roundness_report(Config(RL, a, b, 1.0))
-    assert rep.value == -math.inf  # atomic self-pairs force -inf
-    assert rep.value <= 0.0
+    assert (rep.value, rep.bound, rep.slack) == (-math.inf, 0.0, math.inf)
     d0, d1 = FiniteDist.delta(RL, 0.0), FiniteDist.delta(RL, 1.0)
     assert log_roundness_report(Config(RL, d0, d1, 1.0)).value == -math.inf
 
@@ -832,6 +845,7 @@ def test_metric_barycenter_on_a_huge_graph_costs_only_the_supports():
 
     small = config(4)
     everywhere = [GraphVertex(side, i) for side in ("L", "R") for i in range(4)]
-    expected = metric_barycenter_ratio(small, everywhere).value
+    expected = (min(barycenter_objective(small, z) for z in everywhere)
+                / cross_moment(small.X, small.Y, small.p))
     assert metric_barycenter_ratio(small).value == expected
     assert metric_barycenter_ratio(config(10 ** 15)).value == expected

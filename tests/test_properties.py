@@ -200,7 +200,6 @@ def _config_json(draw):
     return draw(_mostly(st.just(obj), _JSON))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(_config_json())

@@ -280,8 +280,7 @@ def test_search_evaluator_matches_certify_ratio_bit_for_bit(case):
     assert repr(den) == repr(cross_moment(x, y, spec.p))
 
 
-# a distance of 1e300 to the power 1.5 overflows, and numpy says so
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# a distance of 1e300 to the power 1.5 overflows
 @pytest.mark.parametrize("objective", search.OBJECTIVES)
 def test_search_evaluator_rejects_moments_out_of_the_float_range(objective):
     space = RealLine()
