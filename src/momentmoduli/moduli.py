@@ -257,7 +257,12 @@ def barycenter_ratio(config: Config) -> RatioReport:
     that admissible-z value already realizes the sharp constant).  Neither
     runs over a denominator that left the float range.
     """
-    den = cross_moment(config.X, config.Y, config.p)
+    return barycenter_ratio_over(config, cross_moment(config.X, config.Y, config.p))
+
+
+def barycenter_ratio_over(config: Config, den: float) -> RatioReport:
+    """:func:`barycenter_ratio` over a cross moment ``den`` that the caller
+    has already computed."""
     if den <= 0.0:
         raise DegenerateRatioError("barycenter denominator vanished", float("nan"), den)
     if not math.isfinite(den):

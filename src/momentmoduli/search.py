@@ -14,9 +14,10 @@ each ratio from scratch -- there is no incremental state to drift.  A
 roundness or mixture value is one kernel call on the joint stack of both
 laws whose blocks are reduced exactly as the moment functionals reduce them,
 so it equals the moduli module's value bit for bit; a barycenter value
-builds the configuration and goes through the moduli module, whose solve
-dominates.  Only the winning configuration goes through ``certify_ratio``,
-and its value is the one reported.
+builds the configuration and goes through the moduli module over the one
+cross moment the evaluator computes, and its solve dominates.  Only the
+winning configuration goes through ``certify_ratio``, and its value is the
+one reported.
 
 Results are empirical lower bounds on the suprema being probed, never
 proofs, and are labeled as such in serialized output.
@@ -35,6 +36,7 @@ from .distributions import Config, FiniteDist, check_probs, cross_moment, stack_
 from .moduli import (
     DegenerateRatioError,
     barycenter_ratio,
+    barycenter_ratio_over,
     mixture_ratio,
     roundness_ratio,
 )
@@ -195,13 +197,14 @@ def _evaluate(spec: SearchSpec, state: State) -> Tuple[Optional[float], float]:
     A roundness or mixture value is one kernel call on the joint stack,
     [X; Y] x [X; Y] or [X; Y] x [Y; z] with z the midpoint of the means,
     whose blocks are reduced as the moment functionals reduce them.  A
-    barycenter value is a solve, which builds the configuration.
+    barycenter value is a solve, which builds the configuration, over the
+    cross moment computed here.
     """
     if spec.objective == "barycenter":
         config = _config(spec, state)
         den = cross_moment(config.X, config.Y, spec.p)
         try:
-            v = barycenter_ratio(config).value
+            v = barycenter_ratio_over(config, den).value
         except (DegenerateRatioError, OverflowError):
             return None, den
         return (v if math.isfinite(v) else None), den

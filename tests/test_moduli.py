@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dist
-from momentmoduli import distributions, moduli
+from momentmoduli import barycenter, distributions, moduli
 from momentmoduli.constructions import (
     make_bipartite,
     make_disjoint_bernoulli,
@@ -442,6 +444,102 @@ def test_barycenter_ratio_nonconvex_range_uses_mixture_draw():
     assert rep.solver_info is None
 
 
+# ------------------------------------------------ certified lower bounds
+
+_BOUND_SPACES = [RL, WeightedLq(1.0), WeightedLq(1.5), WeightedLq(2.0), WeightedLq(3.0),
+                 WeightedLq(INF), Schatten(1.0), Schatten(2.0), Schatten(3.0),
+                 ParallelogramS1(1), ParallelogramS1(2)]
+
+
+@st.composite
+def _bound_configs(draw):
+    """A configuration of laws of unit size, and a power of two k: the laws
+    times 2^k (2^498 is about 8e149) send the solver down its rescaled path."""
+    space = draw(st.sampled_from(_BOUND_SPACES))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    real = draw(st.booleans())
+    weights = None
+    if isinstance(space, RealLine):
+        shape = ()
+    elif isinstance(space, WeightedLq):
+        dim = draw(st.integers(1, 3))
+        shape = (dim,)
+        if draw(st.booleans()):
+            # one positive weight at least, which the sup norm needs
+            first = draw(st.sampled_from([0.25, 1.0, 3.0]))
+            rest = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                                 min_size=dim - 1, max_size=dim - 1))
+            weights = np.array([first] + rest)
+    elif isinstance(space, Schatten):
+        shape = (2, 2)
+    else:
+        shape = (2 * space.n,)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def law():
+        n = draw(st.integers(1, 3))
+        rows = rng.normal(size=(n,) + shape)
+        if not (real or isinstance(space, RealLine)):
+            rows = rows + 1j * rng.normal(size=(n,) + shape)
+        return FiniteDist(space, AtomStack(space, rows, weights), rng.dirichlet(np.ones(n)))
+
+    cfg = Config(space, law(), law(), p, draw(st.booleans()))
+    return cfg, draw(st.sampled_from([-498, 0, 498]))
+
+
+def _times_power_of_two(cfg, k):
+    def law(d):
+        return FiniteDist(d.space, d.stack.with_array(d.stack.array * 2.0 ** k), d.probs)
+
+    return Config(cfg.space, law(cfg.X), law(cfg.Y), cfg.p, cfg.zero_sum)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_bound_configs())
+def test_barycenter_lower_bound_never_exceeds_the_minimum(case):
+    unit, k = case
+    cfg = _times_power_of_two(unit, k)
+    cert = minimize_barycenter(cfg, max_iters_per_start=500)
+    assert cert.lower <= cert.value
+    assert cert.gap == cert.value - cert.lower or cert.lower == cert.value
+    if cert.stop == "gap":
+        assert cert.gap <= 1e-12 * cert.value
+    # the minimum: the unit-size solve with the gap stop off and five times
+    # the budget, scaled by 2^(k p) exactly; at unit size the objective's
+    # float value is closest to the exact one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(barycenter, "_GAP_TARGET", -1.0)
+        long = minimize_barycenter(unit, max_iters_per_start=2500)
+    try:
+        minimum = math.ldexp(long.value, int(k * cfg.p))
+    except OverflowError:       # the minimum leaves the float range
+        minimum = math.inf
+    assert cert.lower <= minimum
+
+
+def test_fn_inf_solve_stops_on_the_gap_at_its_starts():
+    cert = minimize_barycenter(make_fn(3, INF, 2.0).config)
+    assert (cert.stop, cert.iterations) == ("gap", 0)
+    # the infimum, at the origin, is 2 * 7^2
+    assert cert.lower <= 98.0
+    assert cert.value == 98.0
+    assert cert.gap <= 1e-12 * cert.value
+
+
+def test_each_stop_reason_and_the_solver_json():
+    golden = _golden_configs()
+    cases = [(golden["l2-p2"], {}, "closed_form"), (golden["l2"], {}, "stall"),
+             (make_fn(2, INF, 1.0).config, {}, "gap"),
+             (_matrix_config(ParallelogramS1(1), 2.0, 0, 2, 2), {"max_iters_per_start": 30},
+              "cap")]
+    for cfg, kwargs, stop in cases:
+        cert = minimize_barycenter(cfg, **kwargs)
+        assert cert.stop == stop
+        assert cert.lower <= cert.value
+        out = cert.to_json()
+        assert (out["lower"], out["gap"], out["stop"]) == (cert.lower, cert.gap, stop)
+
+
 # ---------------------------------------------------------------- metric barycenter
 
 def test_metric_barycenter_bipartite_examples():
@@ -797,9 +895,28 @@ GOLDEN = {
 }
 
 
+# entries whose solve now ends on the certified gap, with their best start:
+# the means and mixture ratio keep their bits, the recorded barycenter value
+# is at least the certified lower end and within the gap target of the new
+# value.  linf-fn3 ends at its starts, where the mixture mean has the least
+# float value (one ulp under the exact infimum 14); its recorded minimizer
+# came from iterating from atom 1
+GAP_STOPPED = {"linf-fn3": "mixture_mean", "realline": "atom:1"}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_mean_mixture_and_barycenter_golden_values(name):
-    assert _golden(_golden_configs()[name]) == GOLDEN[name]
+    cfg = _golden_configs()[name]
+    got = _golden(cfg)
+    if name not in GAP_STOPPED:
+        assert got == GOLDEN[name]
+        return
+    means, mix, recorded, _, _ = GOLDEN[name]
+    cert = minimize_barycenter(cfg)
+    assert got[:2] == (means, mix)
+    assert (cert.stop, got[2], got[4]) == ("gap", cert.value, GAP_STOPPED[name])
+    assert cert.lower <= recorded
+    assert abs(cert.value - recorded) <= 1e-12 * recorded
 
 
 # metric barycenter values, recorded while the minimum was taken one

@@ -20,6 +20,7 @@ from momentmoduli.distributions import Config, FiniteDist, cross_moment
 from momentmoduli.moduli import (
     DegenerateRatioError,
     barycenter_objective,
+    barycenter_ratio,
     jensen_ratio,
     log_roundness_report,
     metric_barycenter_ratio,
@@ -97,6 +98,24 @@ def test_ratios_are_symmetric_in_x_and_y(space, seed, nx, ny, p):
         fns.append(mixture_ratio)
     for fn in fns:
         assert _close(_value(fn, cfg), _value(fn, swapped))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([s for s in SPACES if is_linear(s)]), st.integers(0, 2 ** 31 - 1),
+       st.integers(1, 5), st.integers(1, 5), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_barycenter_ratio_is_symmetric_in_x_and_y_within_its_certified_interval(
+        space, seed, nx, ny, p):
+    # both orders minimize one objective over one cross moment, so each
+    # certified lower end is at most the other order's value; a capped solve
+    # keeps its certificate
+    cfg = _config(space, seed, nx, ny, p)
+    capped = functools.partial(moduli.minimize_barycenter, max_iters_per_start=400)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moduli, "minimize_barycenter", capped)
+        reports = [barycenter_ratio(c) for c in (cfg, Config(space, cfg.Y, cfg.X, p))]
+    a, b = (r.solver_info for r in reports)
+    assert a.lower <= b.value and b.lower <= a.value
+    assert _close(cross_moment(cfg.X, cfg.Y, p), cross_moment(cfg.Y, cfg.X, p))
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentmoduli import search
+from momentmoduli import barycenter, distributions, search
 from momentmoduli.constants import C_exponent
 from momentmoduli.distributions import Config, FiniteDist, cross_moment
 from momentmoduli.moduli import DegenerateRatioError
@@ -290,3 +290,28 @@ def test_search_evaluator_rejects_moments_out_of_the_float_range(objective):
     assert search._evaluate(spec, (x.stack, x.probs, y.stack, y.probs)) == (None, math.inf)
     with pytest.raises(OverflowError, match="not finite"):
         certify_ratio(Config(space, x, y, spec.p), objective)
+
+
+def test_a_barycenter_proposal_computes_its_cross_moment_once(monkeypatch):
+    # the evaluator's cross moment is the ratio's denominator: one kernel
+    # call on [X] x [Y] besides those of the solve
+    rng = np.random.default_rng(5)
+    space = WeightedLq(3.0)
+    x, y = (FiniteDist(space, AtomStack(space, rng.normal(size=(2, 3))), np.array([0.3, 0.7]))
+            for _ in range(2))
+    calls = []
+    kernel = distributions.pairwise_powered
+
+    def counted(space, xs, ys, p):
+        calls.append((xs is x.stack, ys is y.stack))
+        return kernel(space, xs, ys, p)
+
+    monkeypatch.setattr(distributions, "pairwise_powered", counted)
+    monkeypatch.setattr(barycenter, "pairwise_powered", counted)
+    barycenter.minimize_barycenter(Config(space, x, y, 1.5))
+    solve = len(calls)
+    calls.clear()
+    spec = SearchSpec(space=space, objective="barycenter", p=1.5)
+    search._evaluate(spec, (x.stack, x.probs, y.stack, y.probs))
+    assert len(calls) == solve + 1
+    assert calls.count((True, True)) == 1
