@@ -1,5 +1,6 @@
-"""Convex barycenter minimization by multi-start projected subgradient descent,
-stopped on a certified duality gap.
+"""Convex barycenter minimization, stopped on a certified duality gap:
+majorize-minimize steps on the Euclidean kinds, multi-start projected
+subgradient descent otherwise and as their fallback.
 
 The objective  f(z) = E d(X, z)^p + E d(Y, z)^p  is convex for p >= 1 on the
 linear space kinds, so the subgradient method with a diminishing step
@@ -31,13 +32,35 @@ is subtracted, which includes the rounding left in sum_i c_i y_i times a
 bound on the distance from z to a minimizer, so that the bound holds for the
 exact infimum.
 
+Euclidean problems.  On weighted l_2 or the real line (with ``zero_sum``
+only when all weights are equal, the rule of the mixture-mean closed form)
+at 1 <= p < 2, d^p = (d^2)^(p/2) is concave in d^2, so
+sum_i c_i d_i^(p-2) ||z - a_i||^2 majorizes f up to a constant and a factor
+around the current point.  Its minimizer, the generalized Weiszfeld step
+
+    z+ = sum_i c_i d_i^(p-2) a_i / sum_i c_i d_i^(p-2)
+
+(projected under ``zero_sum``), lowers f at every step and converges
+linearly off the atoms (Weiszfeld, Tohoku Math. J. 1937).  It is iterated
+from one start only: the start of least objective that lies off every atom,
+as one more row labelled like that start.  The bound is taken at the iterate
+itself, not at the point of least float value: f - f* is second order in the
+distance to the minimizer and the bound only first order, so f reaches its
+float floor while the bound at the best point stays loose.  The step is not
+defined on an atom; if an iterate lands on one, stalls (no 1e-12 relative
+progress in ``_STALL_WINDOW`` steps) or takes ``max_iters_per_start`` steps
+without the gap, the subgradient loop below runs from every start and from
+the best majorize-minimize point.  That happens near p = 1, where a
+minimizer close to an atom takes the rate of the step towards 1.
+
 Stop rule.  The bound is taken at every start and then every
-``_BOUND_EVERY`` iterations at the best point so far.  The solve stops
-(``stop`` "gap") as soon as the least objective value is within a relative
-``_GAP_TARGET`` of the best bound.  The bound moves no iterate, so a solve
-that never reaches the gap takes exactly the steps it would take without it.
-Such a solve runs the step schedule s_k = s0 / sqrt(k), with s0 the diameter
-of the support, applied to the normalized subgradient direction, in three
+``_BOUND_EVERY`` iterations: at the majorize-minimize iterate, and in the
+subgradient loop at the best point so far.  The solve stops (``stop`` "gap")
+as soon as the least objective value is within a relative ``_GAP_TARGET`` of
+the best bound.  The bound moves no iterate, so a subgradient loop that never
+reaches the gap takes exactly the steps it would take without it.  The loop
+runs the step schedule s_k = s0 / sqrt(k), with s0 the diameter of the
+support, applied to the normalized subgradient direction, in three
 warm-restarted stages with geometrically shrinking s0 (1, 1/30, 1/900 of the
 diameter) inside the per-start iteration budget; late-stage oscillation of
 the plain schedule otherwise stalls around 1e-4 relative.  A stage ends after
@@ -277,8 +300,14 @@ class _Problem:
             # <lam 1, z* - z> = -<lam 1, z>, as z* has entry sum 0
             slack = slack + (np.abs(lam) + err.max(axis=-1)) \
                 * (np.abs(z.sum(axis=-1)) + _gamma(k + 2) * np.abs(z).sum(axis=-1))
-        # the margin is far above the rounding of upper, c_i and d
-        radius = ((upper / c) ** (1.0 / self.p) + d).min(axis=-1) * (1.0 + 1e-8)
+        # ||z* - a_i|| + d_i for one atom, or averaged over all with the
+        # weights c_i / C, C = sum_i c_i, the average of the first at most
+        # (upper / C)^(1/p) by the power mean inequality; the margin is far
+        # above the rounding of upper, c_i and d
+        total = c.sum()
+        radius = np.minimum(((upper / c) ** (1.0 / self.p) + d).min(axis=-1),
+                            (upper / total) ** (1.0 / self.p) + d @ (c / total)) \
+            * (1.0 + 1e-8)
         slack = slack + self._dual_abs(np.abs(r) + err) * radius
         out = lower - slack
         return np.where(np.isnan(out), -INF, out)
@@ -308,13 +337,20 @@ class _LqProblem(_Problem):
         self._dual_q = _conjugate(self.q)
         self.norm_err = self.atoms.shape[1] + 10
 
+    def euclidean(self) -> bool:
+        """Whether the objective is a weighted sum of powers of one Euclidean
+        norm on the feasible set: weighted l_2 or the real line, with
+        ``zero_sum`` only when all weights are equal, so that the projection
+        is the one of that norm."""
+        return self.q == 2.0 and (not self.zero_sum
+                                  or bool(np.all(self.weights == self.weights[0])))
+
     def closed_form(self) -> Optional[str]:
         """``"mean"`` or ``"median"``, the start that minimizes the
         objective in the two closed-form cases of the module docstring, or
         None."""
-        if self.p == 2.0 and self.q == 2.0:
-            if not self.zero_sum or np.all(self.weights == self.weights[0]):
-                return "mean"
+        if self.p == 2.0 and self.euclidean():
+            return "mean"
         if (self.p == 1.0 and not self.zero_sum
                 and (self._real_line or self.q == 1.0)
                 and not np.any(self.atoms.imag)):
@@ -366,6 +402,19 @@ class _LqProblem(_Problem):
         if not self.unit:
             core = core * w
         return u, d, sq ** (p / q), scal, core
+
+    def majorize(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For a Euclidean problem at 1 <= p < 2: the objective at each row
+        of ``z``, the majorize-minimize step from it and whether it lies on
+        an atom.  The step minimizes the quadratic majorant
+        sum_i c_i d_i^(p-2) ||z' - a_i||^2 of the objective (up to a
+        constant and a factor): the mean of the atoms weighted by
+        c_i d_i^(p-2), projected under ``zero_sum``; from a row on an atom it
+        is not defined."""
+        _, d, dp, scal, _ = self._terms(z)
+        beta = scal * self.coeffs                          # p c_i d_i^(p-2)
+        step = self.project(beta @ self.atoms / beta.sum(axis=-1, keepdims=True))
+        return dp @ self.coeffs, step, ~(d > 0.0).all(axis=-1)
 
     def _combine(self, coef: np.ndarray, core, shape) -> np.ndarray:
         if self.q != INF:
@@ -483,20 +532,30 @@ def minimize_barycenter(config: Config,
                         max_iters_per_start: int = 50_000) -> BarycenterCert:
     """Minimize E d(X, z)^p + E d(Y, z)^p over z (p >= 1, linear spaces).
 
-    Multi-start projected subgradient descent; starts are all atoms of X and
-    Y, the mixture mean, and the origin.  The reported value is the exact
-    objective at the best point visited, hence never above the objective at
-    any start, and by convexity the iteration converges to the global
-    minimum.  ``config.zero_sum`` restricts iterates to the hyperplane of
-    zero entry sum (Euclidean projection).
+    Starts are all atoms of X and Y, the mixture mean, and the origin, and
+    every start is evaluated.  The reported value is the exact objective at
+    the best point visited, hence never above the objective at any start,
+    and by convexity the iteration converges to the global minimum.
+    ``config.zero_sum`` restricts iterates to the hyperplane of zero entry
+    sum (Euclidean projection).
 
-    A dual lower bound is taken at every start and then every
-    ``_BOUND_EVERY`` iterations at the best point so far; the solve stops
-    (``stop`` "gap") once the least objective value is within a relative
-    ``_GAP_TARGET`` of the best bound.  Otherwise each of the three stages
-    ends on a stall (no 1e-12 relative progress in ``_STALL_WINDOW``
-    steps) or at its share of ``max_iters_per_start``, and ``stop`` is
-    "stall" or "cap" after the last one.  The bound moves no iterate.
+    A dual lower bound is taken at every start; the solve stops (``stop``
+    "gap") once the least objective value is within a relative
+    ``_GAP_TARGET`` of the best bound.  Euclidean problems at 1 <= p < 2
+    (weighted l_2 or the real line, with ``zero_sum`` only for equal
+    weights) then take the majorize-minimize step of the module docstring
+    from the best start off every atom, with the bound every
+    ``_BOUND_EVERY`` steps at the iterate; the best point is one more row,
+    and ``best_start`` names the start it came from.  If that ends without
+    the gap (an iterate on an atom, a stall or ``max_iters_per_start``
+    steps), and for every other problem, multi-start projected subgradient
+    descent runs from every row, with the bound every ``_BOUND_EVERY``
+    iterations at the best point so far.  Each of its three stages ends on
+    a stall (no 1e-12 relative progress in ``_STALL_WINDOW`` steps) or at
+    its share of ``max_iters_per_start``, and ``stop`` is "stall" or "cap"
+    after the last one.  The bound moves no iterate, and ``iterations``
+    counts the steps of both loops; the support diameter is computed only
+    if the subgradient loop runs.
 
     When the minimizer has a closed form (p = q = 2: the mixture mean; p = 1
     with real atoms on the real line or l_1 without ``zero_sum``: the
@@ -515,9 +574,11 @@ def minimize_barycenter(config: Config,
     if isinstance(config.space, (WeightedLq, RealLine)):
         problem = _LqProblem(config)
         closed = problem.closed_form()
+        euclidean = closed is None and config.p < 2.0 and problem.euclidean()
     else:
         problem = _SvdProblem(config)
         closed = None
+        euclidean = False
 
     both = config.X.stack.concat(config.Y.stack).array
     starts = [both, mean_row(mixture(config.X, config.Y))[None], np.zeros_like(both[:1])]
@@ -532,9 +593,25 @@ def minimize_barycenter(config: Config,
     f_best = f0.copy()
     z_best = z.copy()
     g_best = float(f_best.min())
+    last_progress = 0
 
     def gap_closed() -> bool:
         return g_best - lower <= _GAP_TARGET * g_best
+
+    def record(k: int, f: np.ndarray, z_cur: np.ndarray, rows=slice(None)) -> None:
+        """Keep the least value of each row of ``rows`` and its point, and
+        the step ``k`` of the last 1e-12 relative progress of their least."""
+        nonlocal g_best, last_progress
+        mine = f_best[rows]
+        before = float(mine.min())
+        improved = f < mine
+        if improved.any():
+            mine[improved] = f[improved]
+            z_best[rows][improved] = z_cur[improved]
+        after = float(mine.min())
+        if after < before - max(1e-15, 1e-12 * abs(before)):
+            last_progress = k
+        g_best = min(g_best, after)
 
     iterations = 0
     lower = -math.inf
@@ -543,10 +620,33 @@ def minimize_barycenter(config: Config,
         lower = float(problem.lower_bound(z, g_best).max())
         if gap_closed():
             stop = "gap"
+    if stop is None and euclidean:
+        # majorize-minimize from the best start off every atom, as one more
+        # row; the bound is taken at the iterate, which converges to the
+        # minimizer while the float value of f has long reached its floor
+        _, _, on_atom = problem.majorize(z)
+        if not on_atom.all():
+            row = int(np.argmin(np.where(on_atom, INF, f0)))
+            labels.append(labels[row])
+            f_best = np.append(f_best, f0[row])
+            z_best = np.concatenate([z_best, z[row:row + 1]])
+            z_cur = z[row:row + 1]
+            for k in range(1, max_iters_per_start + 1):
+                f, z_next, on_atom = problem.majorize(z_cur)
+                record(k, f, z_cur, slice(-1, None))
+                iterations += 1
+                if iterations % _BOUND_EVERY == 0:
+                    lower = max(lower, float(problem.lower_bound(z_cur, g_best)[0]))
+                    if gap_closed():
+                        stop = "gap"
+                        break
+                if on_atom[0] or k - last_progress > _STALL_WINDOW:
+                    break
+                z_cur = z_next
     if stop is None:
         diam = _support_diameter(config) * problem.scale
         stop = "stall"          # a one-point support takes no step
-        z_cur = z.copy()
+        z_cur = z_best.copy()
         for frac, fac in _STAGES if diam > 0.0 else ():
             k_max = max(1, int(frac * max_iters_per_start))
             s0 = diam * fac
@@ -554,16 +654,7 @@ def minimize_barycenter(config: Config,
             stop = "cap"
             for k in range(1, k_max + 1):
                 f, g = problem.value_and_subgrad(z_cur)
-                improved = f < f_best
-                if improved.any():
-                    f_best = np.where(improved, f, f_best)
-                    z_best[improved] = z_cur[improved]
-                new_best = float(f_best.min())
-                if new_best < g_best - max(1e-15, 1e-12 * abs(g_best)):
-                    g_best = new_best
-                    last_progress = k
-                elif new_best < g_best:
-                    g_best = new_best
+                record(k, f, z_cur)
                 iterations += 1
                 if iterations % _BOUND_EVERY == 0:
                     best = int(np.argmin(f_best))

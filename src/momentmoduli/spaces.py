@@ -436,16 +436,19 @@ def stack_points(space: Space, pts) -> AtomStack:
 def _lq_powered(absd: np.ndarray, w: np.ndarray, q: float, p: float) -> np.ndarray:
     """(sum_k w_k absd_k^q)^(p/q) over the last axis of nonnegative ``absd``.
 
-    The rows whose sum overflows, or underflows to zero while a weighted entry
-    is nonzero, are recomputed scaled by their largest weighted entry.
+    The rows whose sum s leaves [2^-64, 2^64] (it may overflow, or underflow
+    to zero while a weighted entry is nonzero) are recomputed scaled by their
+    largest weighted entry: s^(p/q) multiplies the rounding of p/q by |ln s|.
     """
     terms = absd ** q * w
     s = terms.sum(axis=-1)
     out = s ** (p / q)
-    # cheap gate: no row sum overflowed and no term underflowed to zero
-    if not s.max() < INF or np.count_nonzero(terms) != np.count_nonzero(absd):
+    # cheap gate: every nonzero row sum is in the band (nan is not) and no
+    # term underflowed to zero
+    if (not s.max() <= 2.0 ** 64 or np.count_nonzero(s) != np.count_nonzero(s >= 2.0 ** -64)
+            or np.count_nonzero(terms) != np.count_nonzero(absd)):
         live = np.where(w > 0, absd, 0.0)
-        bad = ~np.isfinite(s) | ((s == 0.0) & live.any(axis=-1))
+        bad = ~(s <= 2.0 ** 64) | ((s < 2.0 ** -64) & live.any(axis=-1))
         live = live[bad]
         m = live.max(axis=-1)
         t = ((live / np.where(m > 0, m, 1.0)[:, None]) ** q * w).sum(axis=-1)

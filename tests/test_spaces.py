@@ -329,8 +329,23 @@ def test_lq_tiny_difference_does_not_underflow(q):
     assert d == pytest.approx(ref, rel=1e-15)
 
 
+@pytest.mark.parametrize("space", [WeightedLq(1.5), Schatten(1.5)], ids=["lq", "schatten"])
+@pytest.mark.parametrize("k", [498, -498])
+def test_lq_powers_far_from_unit_size_keep_their_precision(space, k):
+    # s^(p/q) on the plain sum s of q-th powers, here about 2^(+-747),
+    # multiplies the rounding of p/q by |ln s|: about 175 ulps off
+    rng = np.random.default_rng(3)
+    shape = (3,) if isinstance(space, WeightedLq) else (2, 2)
+    e = rng.normal(size=(4,) + shape) + 1j * rng.normal(size=(4,) + shape)
+    f = rng.normal(size=(3,) + shape) + 1j * rng.normal(size=(3,) + shape)
+    unit = pairwise_powered(space, AtomStack(space, e), AtomStack(space, f), 2.0)
+    far = pairwise_powered(space, AtomStack(space, e * 2.0 ** k),
+                           AtomStack(space, f * 2.0 ** k), 2.0)
+    assert np.all(np.abs(far / np.ldexp(unit, 2 * k) - 1.0) <= 16 * 2.0 ** -52)
+
+
 def test_lq_ordinary_values_take_the_unscaled_path():
-    # the rescaled path is only for sums that overflow or vanish: on ordinary
+    # the rescaled path is only for sums outside [2^-64, 2^64]: on ordinary
     # inputs the kernel is the plain weighted sum of q-th powers
     rng = np.random.default_rng(3)
     e = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
