@@ -40,6 +40,7 @@ __all__ = [
     "mean_row",
     "stack_mean",
     "check_probs",
+    "check_prob_rows",
     "centered_moment",
     "log_cross_moment",
 ]
@@ -66,12 +67,19 @@ def check_probs(probs: np.ndarray, n: int) -> np.ndarray:
     read-only."""
     if probs.shape != (n,):
         raise ValueError("probs must match atoms in length")
-    if not np.all(probs >= 0):
-        raise ValueError("probabilities must be nonnegative numbers")
-    if not abs(float(probs.sum()) - 1.0) <= _PROB_SUM_TOL:
-        raise ValueError("probabilities must sum to 1 within 1e-12")
+    check_prob_rows(probs)
     probs.setflags(write=False)
     return probs
+
+
+def check_prob_rows(probs: np.ndarray) -> None:
+    """The rule of :func:`check_probs` but the shape, on the last axis of
+    ``probs``: one law's probabilities, or one row for each of a stack of
+    laws."""
+    if not (probs >= 0).all():
+        raise ValueError("probabilities must be nonnegative numbers")
+    if not (abs(probs.sum(axis=-1) - 1.0) <= _PROB_SUM_TOL).all():
+        raise ValueError("probabilities must sum to 1 within 1e-12")
 
 
 @dataclass(frozen=True, eq=False)

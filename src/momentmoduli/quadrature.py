@@ -35,25 +35,33 @@ def gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 def integrate_log_endpoint(f, a: float, b: float) -> float:
     """Integrate f over [a, b] when f may have a log singularity at ``a``.
 
-    Dyadic panels [a + h 2^{-k-1}, a + h 2^{-k}] shrink toward ``a``.
-    Refinement stops early if a panel stops being finite (a multiple root
-    can drive the integrand argument to exact float zero before the panels
-    bottom out).  The remaining sliver [a, a + eps] is handled by fitting
-    the local model f(a + u) ~ m log u + log A to the two nearest finite
-    samples and integrating it analytically.  Regular endpoints degrade
-    gracefully: the fitted m is ~ 0 and the sliver reduces to a rectangle
-    rule on a width-eps strip.
+    Dyadic panels [a + h 2^{-k-1}, a + h 2^{-k}] shrink toward ``a``.  f is
+    evaluated once, on the nodes of all panels, and each panel's
+    Gauss-Legendre sum is added in order from the widest down; the sum stops
+    before the first panel that is not finite (a multiple root can drive the
+    integrand argument to exact float zero before the panels bottom out).
+    The remaining sliver [a, a + eps] is handled by fitting the local model
+    f(a + u) ~ m log u + log A to the two nearest finite samples and
+    integrating it analytically.  Regular endpoints degrade gracefully: the
+    fitted m is ~ 0 and the sliver reduces to a rectangle rule on a
+    width-eps strip.
     """
     h = b - a
     if h <= 0:
         return 0.0
+    x, w = _rule(_NODES)
+    hi = a + h * np.ldexp(1.0, -np.arange(_LEVELS))
+    lo = a + h * np.ldexp(1.0, -np.arange(1, _LEVELS + 1))
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
     total = 0.0
     k = 0
     with np.errstate(divide="ignore", invalid="ignore"):
+        vals = f((mid[:, None] + half[:, None] * x).ravel()).reshape(_LEVELS, _NODES)
+        # one dot per panel over its own nodes: a matrix-vector product over
+        # all panels at once rounds some sums differently
         while k < _LEVELS:
-            lo = a + h * 0.5 ** (k + 1)
-            hi = a + h * 0.5 ** k
-            val = gl_panel(f, lo, hi, _NODES)
+            val = float(half[k]) * float(np.dot(w, vals[k]))
             if not math.isfinite(val):
                 break
             total += val

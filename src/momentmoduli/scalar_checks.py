@@ -7,6 +7,15 @@ are :class:`FiniteDist` values on :class:`RealLine`.  Expectations over such
 laws are exact sums; the two genuinely continuous objects (the Laplace-
 transform identity for E log W and the circular log-moment) go through panel
 quadrature with explicit singularity and tail control.
+
+Each seeded inequality (sub-additivity, Gaussian smoothing and the three
+Hilbert variants) is one array kernel over a leading batch axis; the
+per-law functions run it on a batch of one.  The suite runners draw every
+seed with the same generator calls in the same order as the per-law
+``random_*`` helpers, check each block of ``_BLOCK`` draws at once with the
+checks a law object makes, and run the kernel once per group of seeds with
+equal atom counts, so that every sum adds the same elements in the same
+order as on one law.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .distributions import FiniteDist, check_probs, mean_row, mixture
+from .distributions import FiniteDist, check_prob_rows, check_probs, mean_row
 from .quadrature import gl_panel, integrate_segment
 from .spaces import AtomStack, RealLine
 
@@ -58,6 +67,9 @@ _ALPHA_SPAN = 10.0
 _SUBADDITIVITY_SEED, _SMOOTHING_SEED, _HILBERT_SEED, _LAPLACE_SEED = 7001, 7002, 7003, 7004
 _HILBERT_VARIANTS = ("roundness", "mixture", "antisym")
 _HILBERT_SIZE = 5
+
+# seeds drawn and checked per block by the suite runners
+_BLOCK = 256
 
 
 def _real_law(atoms: np.ndarray, probs: np.ndarray) -> FiniteDist:
@@ -152,12 +164,35 @@ def check_subadditivity(x: FiniteDist, y: FiniteDist, q: float) -> Tuple[float, 
     ya, yp = _real_arrays(y)
     if abs(mean_row(x)) > 1e-12 or abs(mean_row(y)) > 1e-12:
         raise ValueError("check_subadditivity requires mean-zero inputs")
-    s = xa[:, None] + ya[None, :]
-    joint = np.outer(xp, yp)
-    lhs = float((joint * np.abs(s) ** q).sum())
-    rhs = float((xp * np.abs(xa) ** q).sum() + (yp * np.abs(ya) ** q).sum())
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return lhs, rhs, lhs >= rhs - _SUBADDITIVITY_TOL * scale
+    return _one(_subadditivity_sides(xa[None], xp[None], ya[None], yp[None], q))
+
+
+def _subadditivity_sides(xa, xp, ya, yp, q: float):
+    """(lhs, rhs, holds) arrays of the sub-additivity check for a batch of
+    laws: atoms and probabilities ``xa``, ``xp`` of shape (B, m) and ``ya``,
+    ``yp`` of shape (B, k)."""
+    s = xa[:, :, None] + ya[:, None, :]
+    joint = xp[:, :, None] * yp[:, None, :]
+    lhs = (joint * np.abs(s) ** q).reshape(len(s), -1).sum(axis=1)
+    rhs = (xp * np.abs(xa) ** q).sum(axis=1) + (yp * np.abs(ya) ** q).sum(axis=1)
+    return lhs, rhs, _holds(lhs, rhs, _SUBADDITIVITY_TOL)
+
+
+def _holds(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """lhs >= rhs up to ``tol`` relative to max(1, |lhs|, |rhs|)."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return lhs >= rhs - tol * scale
+
+
+def _one(sides) -> Tuple[float, float, bool]:
+    """The (lhs, rhs, holds) of a batch of one as Python scalars."""
+    lhs, rhs, holds = sides
+    return float(lhs[0]), float(rhs[0]), bool(holds[0])
+
+
+def _quad(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u @ m @ v for each member of a batch: (B, m), (B, m, k), (B, k)."""
+    return (u[:, None, :] @ m @ v[:, :, None])[:, 0, 0]
 
 
 # --------------------------------------------------------------------------
@@ -201,22 +236,28 @@ def gaussian_smoothing_check(x: FiniteDist, y: FiniteDist,
                              s: float) -> Tuple[float, float, bool]:
     """E e^{-s (Z - Z')^2} >= E e^{-s (X - Y)^2} with Z the mixture of the
     laws of X and Y on the real line; both sides are exact finite sums."""
-    return _smoothing_sides(x, y, mixture(x, y), s)
-
-
-def _smoothing_sides(x: FiniteDist, y: FiniteDist, z: FiniteDist,
-                     s: float) -> Tuple[float, float, bool]:
-    """The smoothing check with the mixture ``z`` of ``x`` and ``y`` given."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
     xa, xp = _real_arrays(x)
     ya, yp = _real_arrays(y)
-    za, zp = _real_arrays(z)
-    dz = za[:, None] - za[None, :]
-    lhs = float(zp @ np.exp(-s * dz ** 2) @ zp)
-    dxy = xa[:, None] - ya[None, :]
-    rhs = float(xp @ np.exp(-s * dxy ** 2) @ yp)
-    return lhs, rhs, lhs >= rhs - _EXACT_TOL * max(1.0, abs(lhs), abs(rhs))
+    return _one(_smoothing_sides(xa[None], xp[None], ya[None], yp[None], s))
+
+
+def _smoothing_sides(xa, xp, ya, yp, s: float):
+    """(lhs, rhs, holds) arrays of the smoothing check for a batch of laws
+    shaped as in :func:`_subadditivity_sides`.
+
+    Z's atoms are X's followed by Y's, each with half its mass: the law of
+    ``distributions.mixture(x, y)``, whose merge of coinciding atoms the
+    double sums do not need.
+    """
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    za = np.concatenate([xa, ya], axis=1)
+    zp = 0.5 * np.concatenate([xp, yp], axis=1)
+    dz = za[:, :, None] - za[:, None, :]
+    lhs = _quad(zp, np.exp(-s * dz ** 2), zp)
+    dxy = xa[:, :, None] - ya[:, None, :]
+    rhs = _quad(xp, np.exp(-s * dxy ** 2), yp)
+    return lhs, rhs, _holds(lhs, rhs, _EXACT_TOL)
 
 
 def log_abs_cos_moment(t: float) -> float:
@@ -263,31 +304,46 @@ def verify_scalar_hilbert(f: KernelMatrix, variant: str, alpha: complex = 0.5,
                          (requires mu == nu).
     All integrals are exact weighted sums.
     """
-    mu, nu, v = f.mu, f.nu, f.values
-    norm2 = float(mu @ (np.abs(v) ** 2) @ nu)
-    row = v @ nu          # int f(x, .) dnu
-    col = mu @ v          # int f(., y) dmu
-    total = complex(mu @ v @ nu)
+    return _one(_hilbert_sides(f.mu[None], f.nu[None], f.values[None], variant,
+                               alpha, beta))
+
+
+def _hilbert_sides(mu, nu, v, variant: str, alpha=0.5, beta=0.5):
+    """(lhs, rhs, holds) arrays of :func:`verify_scalar_hilbert` for a batch
+    of kernels: masses ``mu`` (B, m) and ``nu`` (B, k), values ``v``
+    (B, m, k), and ``alpha``, ``beta`` scalars or (B,) arrays."""
+    norm2 = _quad(mu, np.abs(v) ** 2, nu)
+    row = (v @ nu[:, :, None])[:, :, 0]      # int f(x, .) dnu
+    col = (mu[:, None, :] @ v)[:, 0, :]      # int f(., y) dmu
 
     if variant == "roundness":
         # sum_{x,x'} mu(x) mu(x') |row(x) - row(x')|^2 = 2(E|row|^2 - |E row|^2)
-        term1 = 2.0 * (float(mu @ np.abs(row) ** 2) - abs(complex(mu @ row)) ** 2)
-        term2 = 2.0 * (float(nu @ np.abs(col) ** 2) - abs(complex(nu @ col)) ** 2)
+        term1 = 2.0 * (_dot(mu, np.abs(row) ** 2) - np.abs(_dot(mu, row)) ** 2)
+        term2 = 2.0 * (_dot(nu, np.abs(col) ** 2) - np.abs(_dot(nu, col)) ** 2)
         lhs = 2.0 * norm2
         rhs = term1 + term2
     elif variant == "mixture":
-        lhs = max(abs(1.0 - alpha) ** 2 + abs(1.0 - beta) ** 2, 1.0) * norm2
-        rhs = float(mu @ np.abs(row - alpha * total) ** 2) \
-            + float(nu @ np.abs(col - beta * total) ** 2)
+        alpha = np.reshape(alpha, (-1, 1))
+        beta = np.reshape(beta, (-1, 1))
+        total = _dot(col, nu)[:, None]
+        lhs = np.maximum(np.abs(1.0 - alpha[:, 0]) ** 2 + np.abs(1.0 - beta[:, 0]) ** 2,
+                         1.0) * norm2
+        rhs = _dot(mu, np.abs(row - alpha * total) ** 2) \
+            + _dot(nu, np.abs(col - beta * total) ** 2)
     elif variant == "antisym":
-        if mu.size != nu.size or not np.array_equal(mu, nu):
+        if mu.shape != nu.shape or not np.array_equal(mu, nu):
             raise ValueError("antisym variant requires mu == nu")
-        anti = (mu @ v) - (v @ mu)      # int (g(x, .) - g(., x)) dmu(x)
+        anti = col - (v @ mu[:, :, None])[:, :, 0]   # int (g(x, .) - g(., x)) dmu(x)
         lhs = 2.0 * norm2
-        rhs = float(mu @ np.abs(anti) ** 2)
+        rhs = _dot(mu, np.abs(anti) ** 2)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return lhs, rhs, lhs >= rhs - _EXACT_TOL * max(1.0, abs(lhs), abs(rhs))
+    return lhs, rhs, _holds(lhs, rhs, _EXACT_TOL)
+
+
+def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u @ w for each member of a batch: (B, n), (B, n)."""
+    return (u[:, None, :] @ w[:, :, None])[:, 0, 0]
 
 
 # --------------------------------------------------------------------------
@@ -297,16 +353,37 @@ def verify_scalar_hilbert(f: KernelMatrix, variant: str, alpha: complex = 0.5,
 # the property held everywhere it was probed.
 # --------------------------------------------------------------------------
 
+def _draw_real(rng: np.random.Generator, fewest: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Atoms and probabilities of a random real law with fewest.._MAX_ATOMS
+    atoms: normal atoms, Dirichlet(1, ..., 1) probabilities."""
+    m = int(rng.integers(fewest, _MAX_ATOMS + 1))
+    return rng.normal(size=m), rng.dirichlet(np.ones(m))
+
+
+def _draw_any(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """A :func:`_draw_real` law with 1.. atoms."""
+    return _draw_real(rng, 1)
+
+
+def _draw_centered(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """A :func:`_draw_real` law with 2.. atoms, shifted to mean zero."""
+    atoms, probs = _draw_real(rng, 2)
+    return atoms - probs @ atoms, probs
+
+
+def _draw_kernel(rng: np.random.Generator, m: int, k: int, symmetric_measures: bool):
+    """Masses and complex normal values of a random m x k kernel; nu is mu
+    when ``symmetric_measures``."""
+    mu = rng.dirichlet(np.ones(m))
+    nu = mu if symmetric_measures else rng.dirichlet(np.ones(k))
+    vals = rng.normal(size=(m, nu.size)) + 1j * rng.normal(size=(m, nu.size))
+    return mu, nu, vals
+
+
 def random_centered_pair(rng: np.random.Generator) -> Tuple[FiniteDist, FiniteDist]:
     """Two independent mean-zero real laws with 2..4 atoms."""
-
-    def one() -> FiniteDist:
-        m = int(rng.integers(2, _MAX_ATOMS + 1))
-        atoms = rng.normal(size=m)
-        probs = rng.dirichlet(np.ones(m))
-        return _real_law(atoms - probs @ atoms, probs)
-
-    return one(), one()
+    x = _real_law(*_draw_centered(rng))
+    return x, _real_law(*_draw_centered(rng))
 
 
 def random_positive_dist(rng: np.random.Generator) -> FiniteDist:
@@ -316,10 +393,72 @@ def random_positive_dist(rng: np.random.Generator) -> FiniteDist:
 
 def random_kernel(rng: np.random.Generator, m: int = 5, k: int = 5,
                   symmetric_measures: bool = False) -> KernelMatrix:
-    mu = rng.dirichlet(np.ones(m))
-    nu = mu if symmetric_measures else rng.dirichlet(np.ones(k))
-    vals = rng.normal(size=(m, nu.size)) + 1j * rng.normal(size=(m, nu.size))
-    return KernelMatrix(mu, nu, vals)
+    return KernelMatrix(*_draw_kernel(rng, m, k, symmetric_measures))
+
+
+class _Laws:
+    """The real laws drawn for one block of seeds, checked at once with the
+    checks :class:`FiniteDist` makes on each: finite atoms, probabilities
+    nonnegative and summing to 1 within 1e-12, zero-probability atoms
+    dropped; with ``centered``, also each mean zero within 1e-12.  ``atoms``
+    and ``probs`` hold all laws end to end, ``sizes`` their atom counts."""
+
+    def __init__(self, atoms: np.ndarray, probs: np.ndarray, sizes: np.ndarray,
+                 centered: bool = False) -> None:
+        atoms = AtomStack(_RL, atoms).array
+        # before the drop, which would also drop NaN and negative masses
+        if not (probs >= 0).all():
+            raise ValueError("probabilities must be nonnegative numbers")
+        if not probs.all():
+            kept = probs > 0
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            atoms, probs = atoms[kept], probs[kept]
+            sizes = np.bincount(owner[kept], minlength=len(sizes))
+        self.atoms, self.probs, self.sizes = atoms, probs, sizes
+        self.starts = np.cumsum(sizes) - sizes
+        # a sum of at most _MAX_ATOMS masses is the same without the zeros
+        for m in np.unique(sizes):
+            a, p = self.rows(np.flatnonzero(sizes == m), m)
+            check_prob_rows(p)
+            if centered and (np.abs(_dot(p, a)) > 1e-12).any():
+                raise ValueError("check_subadditivity requires mean-zero inputs")
+
+    def rows(self, idx: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The (len(idx), m) atoms and probabilities of the laws ``idx``,
+        which have m atoms each."""
+        at = self.starts[idx, None] + np.arange(m)
+        return self.atoms[at], self.probs[at]
+
+
+def _draw_pairs(rng: np.random.Generator, n: int, draw,
+                centered: bool = False) -> Tuple[_Laws, _Laws]:
+    """The X and Y laws of n seeds, each law drawn by ``draw(rng)``, X
+    before Y in each seed; written into one buffer per side as they are
+    drawn, then checked."""
+    atoms = np.empty((2, n * _MAX_ATOMS))
+    probs = np.empty((2, n * _MAX_ATOMS))
+    sizes = np.empty((2, n), dtype=np.intp)
+    ends = [0, 0]
+    for i in range(n):
+        for side in (0, 1):
+            a, p = draw(rng)
+            lo = ends[side]
+            ends[side] = hi = lo + p.size
+            atoms[side, lo:hi] = a
+            probs[side, lo:hi] = p
+            sizes[side, i] = p.size
+    return tuple(_Laws(atoms[side, :ends[side]], probs[side, :ends[side]], sizes[side],
+                       centered) for side in (0, 1))
+
+
+def _pair_groups(x: _Laws, y: _Laws):
+    """(seed indices, X atoms, X probabilities, Y atoms, Y probabilities) for
+    each group of the block's seeds with equal atom counts (m, k)."""
+    keys = x.sizes * (_MAX_ATOMS + 1) + y.sizes
+    for key in np.unique(keys):
+        idx = np.flatnonzero(keys == key)
+        m, k = divmod(int(key), _MAX_ATOMS + 1)
+        yield (idx, *x.rows(idx, m), *y.rows(idx, k))
 
 
 def run_alpha_grid(qs=(3.0, 3.5, 4.0, 6.0), grid: int = 400,
@@ -368,29 +507,34 @@ def run_subadditivity_suite(qs=(3.0, 4.0, 5.5), seeds: int = 1000) -> list:
     violations = []
     for q in qs:
         rng = np.random.default_rng([_SUBADDITIVITY_SEED, int(q * 10)])
-        for i in range(seeds):
-            x, y = random_centered_pair(rng)
-            lhs, rhs, holds = check_subadditivity(x, y, q)
-            if not holds:
+        for lo in range(0, seeds, _BLOCK):
+            n = min(_BLOCK, seeds - lo)
+            x, y = _draw_pairs(rng, n, _draw_centered, centered=True)
+            lhs, rhs, holds = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+            for idx, xa, xp, ya, yp in _pair_groups(x, y):
+                lhs[idx], rhs[idx], holds[idx] = _subadditivity_sides(xa, xp, ya, yp, q)
+            for i in np.flatnonzero(~holds):
                 violations.append({"check": "subadditivity", "q": q,
-                                   "seed_index": i, "lhs": lhs, "rhs": rhs})
+                                   "seed_index": lo + int(i),
+                                   "lhs": float(lhs[i]), "rhs": float(rhs[i])})
     return violations
 
 
 def run_smoothing_suite(svals=(0.1, 1.0, 10.0), seeds: int = 1000) -> list:
     violations = []
     rng = np.random.default_rng(_SMOOTHING_SEED)
-    for i in range(seeds):
-        m = int(rng.integers(1, 5))
-        x = _real_law(rng.normal(size=m), rng.dirichlet(np.ones(m)))
-        k = int(rng.integers(1, 5))
-        y = _real_law(rng.normal(size=k), rng.dirichlet(np.ones(k)))
-        z = mixture(x, y)
-        for s in svals:
-            lhs, rhs, holds = _smoothing_sides(x, y, z, s)
-            if not holds:
-                violations.append({"check": "smoothing", "s": s,
-                                   "seed_index": i, "lhs": lhs, "rhs": rhs})
+    for lo in range(0, seeds, _BLOCK):
+        n = min(_BLOCK, seeds - lo)
+        x, y = _draw_pairs(rng, n, _draw_any)
+        shape = (n, len(svals))
+        lhs, rhs, holds = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        for idx, xa, xp, ya, yp in _pair_groups(x, y):
+            for j, s in enumerate(svals):
+                lhs[idx, j], rhs[idx, j], holds[idx, j] = _smoothing_sides(xa, xp, ya, yp, s)
+        for i, j in np.argwhere(~holds):
+            violations.append({"check": "smoothing", "s": svals[j],
+                               "seed_index": lo + int(i),
+                               "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])})
     return violations
 
 
@@ -399,18 +543,26 @@ def run_hilbert_suite(seeds: int = 1000) -> list:
     for variant in _HILBERT_VARIANTS:
         stream = sum(ord(ch) for ch in variant)  # stable across runs
         rng = np.random.default_rng([_HILBERT_SEED, stream])
-        for i in range(seeds):
-            f = random_kernel(rng, _HILBERT_SIZE, _HILBERT_SIZE,
-                              symmetric_measures=(variant == "antisym"))
-            if variant == "mixture":
-                a = complex(rng.normal(), rng.normal())
-                b = complex(rng.normal(), rng.normal())
-                lhs, rhs, holds = verify_scalar_hilbert(f, variant, a, b)
-            else:
-                lhs, rhs, holds = verify_scalar_hilbert(f, variant)
-            if not holds:
+        symmetric = variant == "antisym"
+        for lo in range(0, seeds, _BLOCK):
+            n = min(_BLOCK, seeds - lo)
+            mu = np.empty((n, _HILBERT_SIZE))
+            nu = np.empty((n, _HILBERT_SIZE))
+            v = np.empty((n, _HILBERT_SIZE, _HILBERT_SIZE), dtype=complex)
+            ab = np.full((2, n), 0.5, dtype=complex)   # alpha, beta of "mixture"
+            for i in range(n):
+                mu[i], nu[i], v[i] = _draw_kernel(rng, _HILBERT_SIZE, _HILBERT_SIZE,
+                                                  symmetric)
+                if variant == "mixture":
+                    ab[0, i] = complex(rng.normal(), rng.normal())
+                    ab[1, i] = complex(rng.normal(), rng.normal())
+            check_prob_rows(mu)
+            check_prob_rows(nu)
+            lhs, rhs, holds = _hilbert_sides(mu, nu, v, variant, *ab)
+            for i in np.flatnonzero(~holds):
                 violations.append({"check": f"hilbert_{variant}",
-                                   "seed_index": i, "lhs": lhs, "rhs": rhs})
+                                   "seed_index": lo + int(i),
+                                   "lhs": float(lhs[i]), "rhs": float(rhs[i])})
     return violations
 
 

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from momentmoduli.distributions import FiniteDist
+from momentmoduli import scalar_checks as sc
+from momentmoduli.distributions import FiniteDist, mixture
 from momentmoduli.scalar_checks import (
     KernelMatrix,
     alpha_fn,
@@ -327,3 +329,195 @@ def test_scalar_checks_reject_laws_off_the_real_line():
         laplace_log_identity(off)
     with pytest.raises(ValueError, match="RealLine"):
         gaussian_smoothing_check(off, off, 1.0)
+
+
+# ---------------------------------------------------------------- batched suites
+
+def _json_sha(rows) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_subadditivity_runner_below_q_two_pin():
+    # below q = 2 the inequality fails for random centered pairs; sha256 of the
+    # violation rows (keys, order, seed indices and both sides) as recorded
+    # while the suite still built two laws per seed
+    rows = run_subadditivity_suite(qs=(1.5,), seeds=200)
+    assert len(rows) == 199
+    assert _json_sha(rows) == \
+        "2ce80085bc38219f765c008dac11caec10d5b8c99b9a65cd36bc1739c1371bdc"
+
+
+def test_cosine_log_moment_pin():
+    # sha256 of the default 50-point grid, as recorded while every dyadic
+    # panel was its own call of the integrand
+    vals = [cosine_log_moment(2.0 * math.pi * i / 50) for i in range(50)]
+    assert _sha(vals) == \
+        "f3ba4def010155342255d8fa75ad19e6da592a194155cb8ace71fb440cbc5d1d"
+
+
+def test_subadditivity_runner_across_a_block_boundary():
+    seeds = sc._BLOCK + 1
+    expected = []
+    for q in (1.5, 3.0):
+        rng = np.random.default_rng([7001, int(q * 10)])
+        for i in range(seeds):
+            x, y = random_centered_pair(rng)
+            lhs, rhs, holds = check_subadditivity(x, y, q)
+            if not holds:
+                expected.append({"check": "subadditivity", "q": q,
+                                 "seed_index": i, "lhs": lhs, "rhs": rhs})
+    rows = run_subadditivity_suite(qs=(1.5, 3.0), seeds=seeds)
+    assert [r["seed_index"] for r in rows][-2:] == [seeds - 2, seeds - 1]
+    assert _json_sha(rows) == _json_sha(expected)
+
+
+def test_smoothing_kernel_on_one_block_matches_the_per_law_check():
+    x, y = sc._draw_pairs(np.random.default_rng(7002), sc._BLOCK, sc._draw_any)
+    rng = np.random.default_rng(7002)
+    drawn = [(sc._draw_any(rng), sc._draw_any(rng)) for _ in range(sc._BLOCK)]
+    seen = 0
+    for idx, xa, xp, ya, yp in sc._pair_groups(x, y):
+        for s in (0.0, 0.1, 1.0, 10.0):
+            lhs, rhs, holds = sc._smoothing_sides(xa, xp, ya, yp, s)
+            for j, i in enumerate(idx):
+                law_x, law_y = _real_law(*drawn[i][0]), _real_law(*drawn[i][1])
+                assert gaussian_smoothing_check(law_x, law_y, s) == \
+                    (lhs[j], rhs[j], holds[j])
+                # Z without the merge is mixture()'s law to the bit here
+                z = mixture(law_x, law_y)
+                dz = z.stack.array[:, None] - z.stack.array[None, :]
+                assert lhs[j] == float(z.probs @ np.exp(-s * dz ** 2) @ z.probs)
+        seen += len(idx)
+    assert seen == sc._BLOCK
+
+
+def _parent_hilbert(f, variant, alpha=0.5, beta=0.5):
+    # the per-kernel formulas, one kernel at a time
+    mu, nu, v = f.mu, f.nu, f.values
+    norm2 = float(mu @ (np.abs(v) ** 2) @ nu)
+    row = v @ nu
+    col = mu @ v
+    total = complex(mu @ v @ nu)
+    if variant == "roundness":
+        term1 = 2.0 * (float(mu @ np.abs(row) ** 2) - abs(complex(mu @ row)) ** 2)
+        term2 = 2.0 * (float(nu @ np.abs(col) ** 2) - abs(complex(nu @ col)) ** 2)
+        lhs, rhs = 2.0 * norm2, term1 + term2
+    elif variant == "mixture":
+        lhs = max(abs(1.0 - alpha) ** 2 + abs(1.0 - beta) ** 2, 1.0) * norm2
+        rhs = float(mu @ np.abs(row - alpha * total) ** 2) \
+            + float(nu @ np.abs(col - beta * total) ** 2)
+    else:
+        lhs = 2.0 * norm2
+        rhs = float(mu @ np.abs((mu @ v) - (v @ mu)) ** 2)
+    return lhs, rhs, lhs >= rhs - 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+def test_hilbert_batched_sides_match_the_per_kernel_formulas():
+    for variant in ("roundness", "mixture", "antisym"):
+        rng = np.random.default_rng([7003, sum(ord(ch) for ch in variant)])
+        kernels, alphas, betas = [], [], []
+        for _ in range(1000):
+            kernels.append(random_kernel(rng, 5, 5, symmetric_measures=(variant == "antisym")))
+            if variant == "mixture":
+                alphas.append(complex(rng.normal(), rng.normal()))
+                betas.append(complex(rng.normal(), rng.normal()))
+        for lo in range(0, 1000, sc._BLOCK):
+            block = kernels[lo:lo + sc._BLOCK]
+            extra = (np.array(alphas[lo:lo + sc._BLOCK]),
+                     np.array(betas[lo:lo + sc._BLOCK])) if alphas else ()
+            lhs, rhs, holds = sc._hilbert_sides(
+                np.stack([f.mu for f in block]), np.stack([f.nu for f in block]),
+                np.stack([f.values for f in block]), variant, *extra)
+            for j, f in enumerate(block):
+                ab = (alphas[lo + j], betas[lo + j]) if alphas else ()
+                want = _parent_hilbert(f, variant, *ab)
+                assert lhs[j] == pytest.approx(want[0], rel=1e-14, abs=0)
+                assert rhs[j] == pytest.approx(want[1], rel=1e-14, abs=0)
+                assert holds[j] == want[2]
+
+
+def test_smoothing_and_hilbert_rows_keep_their_order(monkeypatch):
+    # a negative allowance makes every instance a violation, so the rows show
+    # their order and values across a block boundary
+    monkeypatch.setattr(sc, "_EXACT_TOL", -1.0)
+    seeds = sc._BLOCK + 1
+    svals = (0.1, 1.0)
+    expected = []
+    rng = np.random.default_rng(7002)
+    for i in range(seeds):
+        m = int(rng.integers(1, 5))
+        x = _real_law(rng.normal(size=m), rng.dirichlet(np.ones(m)))
+        k = int(rng.integers(1, 5))
+        y = _real_law(rng.normal(size=k), rng.dirichlet(np.ones(k)))
+        for s in svals:
+            lhs, rhs, holds = gaussian_smoothing_check(x, y, s)
+            assert not holds
+            expected.append({"check": "smoothing", "s": s, "seed_index": i,
+                             "lhs": lhs, "rhs": rhs})
+    assert _json_sha(run_smoothing_suite(svals=svals, seeds=seeds)) == _json_sha(expected)
+
+    expected = []
+    for variant in ("roundness", "mixture", "antisym"):
+        rng = np.random.default_rng([7003, sum(ord(ch) for ch in variant)])
+        for i in range(seeds):
+            f = random_kernel(rng, 5, 5, symmetric_measures=(variant == "antisym"))
+            ab = ((complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
+                  if variant == "mixture" else ())
+            lhs, rhs, _ = verify_scalar_hilbert(f, variant, *ab)
+            expected.append({"check": f"hilbert_{variant}", "seed_index": i,
+                             "lhs": lhs, "rhs": rhs})
+    assert _json_sha(run_hilbert_suite(seeds=seeds)) == _json_sha(expected)
+
+
+def test_suites_at_zero_seeds_and_a_negative_s():
+    assert run_subadditivity_suite(seeds=0) == []
+    assert run_smoothing_suite(seeds=0) == []
+    assert run_hilbert_suite(seeds=0) == []
+    assert run_smoothing_suite(svals=(-1.0,), seeds=0) == []
+    with pytest.raises(ValueError, match="^s must be nonnegative$"):
+        run_smoothing_suite(svals=(-1.0,), seeds=3)
+
+
+def _block(drawn, centered=False):
+    # the block of the laws ``drawn``, (atoms, probs) each, held end to end
+    return sc._Laws(np.concatenate([a for a, _ in drawn]),
+                    np.concatenate([p for _, p in drawn]),
+                    np.array([len(p) for _, p in drawn]), centered)
+
+
+@pytest.mark.parametrize("atoms,probs", [
+    ([0.0, float("nan")], [0.5, 0.5]),
+    ([0.0, 1.0], [1.5, -0.5]),
+    ([0.0, 1.0], [float("nan"), 1.0]),
+    ([0.0, 1.0], [0.5, 0.6]),
+    ([0.0, 1.0], [0.0, 0.0]),
+], ids=["nan-atom", "negative", "nan-prob", "sum", "all-zero"])
+def test_block_checks_match_the_law_checks(atoms, probs):
+    atoms, probs = np.array(atoms), np.array(probs)
+    with pytest.raises(Exception) as law_error:
+        _real_law(atoms, probs)
+    good = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(type(law_error.value), match=f"^{law_error.value}$"):
+        _block([good, (atoms, probs), good])
+
+
+def test_block_drops_zero_probability_atoms_and_checks_means():
+    drawn = [(np.array([-1.0, 5.0, 1.0]), np.array([0.5, 0.0, 0.5])),
+             (np.array([2.0, -2.0]), np.array([0.5, 0.5]))]
+    laws = _block(drawn, centered=True)
+    assert laws.sizes.tolist() == [2, 2]
+    a, p = laws.rows(np.array([0, 1]), 2)
+    assert a.tolist() == [[-1.0, 1.0], [2.0, -2.0]]
+    assert p.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    with pytest.raises(ValueError, match="requires mean-zero inputs"):
+        _block([(np.array([1.0, 2.0]), np.array([0.5, 0.5]))], centered=True)
+
+
+def test_per_law_messages():
+    f = random_kernel(np.random.default_rng(0), 3, 4)
+    with pytest.raises(ValueError, match="^antisym variant requires mu == nu$"):
+        verify_scalar_hilbert(f, "antisym")
+    with pytest.raises(ValueError, match="^unknown variant 'nope'$"):
+        verify_scalar_hilbert(f, "nope")
+    with pytest.raises(ValueError, match="^check_subadditivity requires mean-zero inputs$"):
+        check_subadditivity(FiniteDist.delta(RL, 1.0), FiniteDist.delta(RL, 0.0), 3.0)
