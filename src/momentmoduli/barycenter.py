@@ -96,7 +96,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .distributions import Config, cross_moment, mean_row, mixture, self_moment
+from .distributions import Config, cross_moment, self_moment, stack_mean
 from .spaces import (
     INF,
     AtomStack,
@@ -206,12 +206,15 @@ class _Problem:
     [2^-200, 2^200] are solved times ``scale``, the power of two that brings
     it into [1/2, 1), so that no power of a difference over- or underflows.
 
-    A kind supplies ``_terms``, the per-atom pieces that both the subgradient
-    and the lower bound are formed from, and the dual norm of its norm.
+    A kind supplies ``_terms``: per start and atom, u = z - a_i, the
+    distance d, d^p and the gradient of d^p at u as scal * core, dense over
+    the coordinates, which the subgradient sums and the lower bound takes as
+    its duals; and the dual norm of its norm.
     """
 
     def __init__(self, config: Config):
-        both = config.X.stack.concat(config.Y.stack).array
+        self.joint = config.X.stack.concat(config.Y.stack)    # X's atoms, then Y's
+        both = self.joint.array
         self._real_line = isinstance(config.space, RealLine)
         self.shape = both.shape[1:]
         top = max(float(np.abs(both.real).max()), float(np.abs(both.imag).max()))
@@ -246,22 +249,14 @@ class _Problem:
         """Objective and subgradient at each start; called with divide and
         invalid floating-point warnings off (see ``minimize_barycenter``)."""
         _, _, dp, scal, core = self._terms(z)
-        return dp @ self.coeffs, self._combine(scal * self.coeffs, core, z.shape)
-
-    def _combine(self, coef: np.ndarray, core, shape) -> np.ndarray:
-        """sum_i coef_i core_i for each start."""
-        return (coef[:, :, None] * core).sum(axis=1)
-
-    def _atom_subgrads(self, scal: np.ndarray, core) -> np.ndarray:
-        """The gradient of d^p at each z - a_i, (S, A, k)."""
-        return scal[:, :, None] * core
+        return dp @ self.coeffs, ((scal * self.coeffs)[:, :, None] * core).sum(axis=1)
 
     @np.errstate(all="ignore")    # inf and nan bounds read -inf
     def lower_bound(self, z: np.ndarray, upper: float) -> np.ndarray:
         """A lower bound on the infimum from each start row of ``z``, given
         an upper bound ``upper`` on it (see the module docstring)."""
         u, d, _, scal, core = self._terms(z)
-        y = self._atom_subgrads(scal, core)                    # (S, A, k)
+        y = scal[:, :, None] * core                            # (S, A, k)
         c = self.coeffs
         n_atoms, k = u.shape[1:]
         s = c @ y                                              # (S, k)
@@ -327,7 +322,7 @@ class _LqProblem(_Problem):
             self.weights = np.ones(1)
             self.q = 2.0
         else:
-            self.weights = config.X.stack.weights
+            self.weights = self.joint.weights
         self.unit = bool(np.all(self.weights == 1.0))
         # the dual norm: w_j^(-1/q) |y_j| over the coordinates of positive
         # weight, in the l_q' norm, and the rounded operations it takes
@@ -376,8 +371,9 @@ class _LqProblem(_Problem):
 
     def _terms(self, z: np.ndarray):
         """Per start and atom: u = z - a_i, the distance d, d^p and the
-        gradient of d^p at u as scal * core; for q = inf, core is the
-        maximizing coordinate and its phase."""
+        gradient of d^p at u as scal * core, dense over the coordinates; for
+        q = inf, core is the phase of u at the first maximizing coordinate
+        and 0 elsewhere."""
         q, p, w = self.q, self.p, self.weights
         u = z[:, None, :] - self.atoms[None, :, :]         # (S, A, d)
         absu = np.abs(u)
@@ -385,11 +381,9 @@ class _LqProblem(_Problem):
             masked = np.where(w > 0, absu, -1.0)
             d = masked.max(axis=-1)                        # (S, A)
             k = masked.argmax(axis=-1)                     # first max index
-            u_at = np.take_along_axis(u, k[:, :, None], axis=-1)[:, :, 0]
-            au = np.abs(u_at)
-            phase = np.where(au > 0, u_at / np.where(au > 0, au, 1.0), 0.0)
-            scal = np.where(d > 0, p * d ** (p - 1.0), 0.0)
-            return u, d, d ** p, scal, (k, phase)
+            phase = np.where(absu > 0, u / np.where(absu > 0, absu, 1.0), 0.0)
+            core = np.where(np.arange(len(w)) == k[:, :, None], phase, 0.0)
+            return u, d, d ** p, np.where(d > 0, p * d ** (p - 1.0), 0.0), core
         sq = (absu ** q if self.unit else absu ** q * w).sum(axis=-1)    # (S, A)
         d = sq ** (1.0 / q)
         scal = np.where(d > 0, p * d ** (p - q), 0.0)
@@ -415,23 +409,6 @@ class _LqProblem(_Problem):
         beta = scal * self.coeffs                          # p c_i d_i^(p-2)
         step = self.project(beta @ self.atoms / beta.sum(axis=-1, keepdims=True))
         return dp @ self.coeffs, step, ~(d > 0.0).all(axis=-1)
-
-    def _combine(self, coef: np.ndarray, core, shape) -> np.ndarray:
-        if self.q != INF:
-            return super()._combine(coef, core, shape)
-        k, phase = core
-        g = np.zeros(shape, dtype=complex)
-        s_idx = np.repeat(np.arange(shape[0]), k.shape[1])
-        np.add.at(g, (s_idx, k.ravel()), (coef * phase).ravel())
-        return g
-
-    def _atom_subgrads(self, scal: np.ndarray, core) -> np.ndarray:
-        if self.q != INF:
-            return super()._atom_subgrads(scal, core)
-        k, phase = core
-        y = np.zeros(k.shape + (len(self.weights),), dtype=complex)
-        np.put_along_axis(y, k[:, :, None], (scal * phase)[:, :, None], axis=-1)
-        return y
 
     def _dual_norm(self, y: np.ndarray) -> np.ndarray:
         """The dual of the weighted l_q norm over the last axis,
@@ -520,10 +497,8 @@ def _lower_weighted_median(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 # Driver
 # --------------------------------------------------------------------------
 
-def _support_diameter(config: Config) -> float:
-    pts = config.X.stack.concat(config.Y.stack)
-    d = pairwise_powered(config.space, pts, pts, 1.0)
-    return float(d.max())
+def _support_diameter(space: Space, joint: AtomStack) -> float:
+    return float(pairwise_powered(space, joint, joint, 1.0).max())
 
 
 # zero distances divide by zero in the subgradients; those entries are masked
@@ -580,8 +555,9 @@ def minimize_barycenter(config: Config,
         closed = None
         euclidean = False
 
-    both = config.X.stack.concat(config.Y.stack).array
-    starts = [both, mean_row(mixture(config.X, config.Y))[None], np.zeros_like(both[:1])]
+    joint = problem.joint
+    both = joint.array
+    starts = [both, stack_mean(joint, 0.5 * problem.coeffs)[None], np.zeros_like(both[:1])]
     labels = [f"atom:{i}" for i in range(len(both))] + ["mixture_mean", "zero"]
     if closed == "median":
         starts.append(_lower_weighted_median(both.real, problem.coeffs)[None])
@@ -644,7 +620,7 @@ def minimize_barycenter(config: Config,
                     break
                 z_cur = z_next
     if stop is None:
-        diam = _support_diameter(config) * problem.scale
+        diam = _support_diameter(config.space, joint) * problem.scale
         stop = "stall"          # a one-point support takes no step
         z_cur = z_best.copy()
         for frac, fac in _STAGES if diam > 0.0 else ():

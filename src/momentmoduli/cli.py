@@ -357,9 +357,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, OSError, SpaceMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OverflowError as e:
-        # an exponent or magnitude whose constants leave the float range
+    except (OverflowError, ZeroDivisionError) as e:
+        # an exponent or magnitude whose constants over- or underflow (a
+        # denominator that underflows to 0 divides by zero)
         print(f"error: a value leaves the floating-point range: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # numpy refuses an array far beyond memory before it allocates it
+        print(f"error: the input is too large: {e}", file=sys.stderr)
         return 2
 
 

@@ -5,8 +5,9 @@ Every generator returns a :class:`NamedConstruction` whose ``predicted``
 field is either the exact ratio the matching modulus computation must
 reproduce (``prediction_kind == "exact"``) or a proven lower bound on it
 (``"lower_bound"``).  :func:`computed_ratio` runs the matching computation
-and :func:`verify_construction` compares the two at the documented
-tolerances.
+and :func:`verify_construction` compares the two: an exact prediction to a
+relative 1e-6, whether or not the barycenter solver computes it, and a lower
+bound to within 1e-7 below.
 """
 
 from __future__ import annotations
@@ -43,13 +44,9 @@ __all__ = [
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
 
-# ids whose check runs the barycenter solver (looser verification tolerance)
-_SOLVER_IDS = frozenset({"fn_inf", "fn_q", "two_point", "eps_atom"})
-
-# verification tolerances: relative for exact predictions (looser through the
-# solver), absolute below a lower-bound prediction
+# verification tolerances: relative for exact predictions, absolute below a
+# lower-bound prediction
 _RTOL_EXACT = 1e-6
-_RTOL_SOLVER = 1e-4
 _LOWER_SLACK = 1e-7
 
 
@@ -89,12 +86,13 @@ def make_fn(n: int, q: float, p: float) -> NamedConstruction:
         raise ValueError("make_fn requires q >= 1")
     if p < 1.0:
         raise ValueError("make_fn requires p >= 1")
+    # the n x 2n rows first, so that a size beyond memory fails before any
+    # other allocation
+    a = np.full((n, 2 * n), n - 2)
+    a[:, :n] = -(n + 2)
     j = np.arange(n)
-    half = np.repeat([-(n + 2), n - 2], n)
-    a = np.tile(half, (n, 1))
     a[j, j] = 3 * n - 2
-    b = np.tile(half[::-1], (n, 1))
-    b[j, n + j] = 3 * n - 2
+    b = np.roll(a, n, axis=1)                  # the halves swapped
     assert not a.sum(axis=1).any() and not b.sum(axis=1).any()
     space = WeightedLq(q)
     xs = AtomStack(space, a)
@@ -350,8 +348,8 @@ def computed_ratio(nc: NamedConstruction) -> float:
 def verify_construction(nc: NamedConstruction) -> VerifyOutcome:
     """Compare predicted and computed ratios.
 
-    Exact predictions must agree to a relative tolerance, 1e-6 (1e-4 when the
-    barycenter solver is involved); lower-bound predictions require
+    Exact predictions must agree to a relative tolerance of 1e-6, also
+    those the barycenter solver computes; lower-bound predictions require
     computed >= predicted - 1e-7.
     """
     computed = computed_ratio(nc)
@@ -359,6 +357,6 @@ def verify_construction(nc: NamedConstruction) -> VerifyOutcome:
         ok = computed >= nc.predicted - _LOWER_SLACK
         tol = _LOWER_SLACK
     else:
-        tol = _RTOL_SOLVER if nc.id in _SOLVER_IDS else _RTOL_EXACT
+        tol = _RTOL_EXACT
         ok = abs(computed - nc.predicted) <= tol * max(1.0, abs(nc.predicted))
     return VerifyOutcome(nc, computed, ok, tol)

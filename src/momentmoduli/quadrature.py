@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
 
-__all__ = ["gl_panel", "integrate_log_endpoint", "integrate_segment"]
+__all__ = ["gl_panels", "integrate_log_endpoint", "integrate_segment"]
 
 
 # dyadic refinement levels toward a singular endpoint, and nodes per panel
@@ -23,13 +23,19 @@ def _rule(n: int):
     return x, w
 
 
-def gl_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-             nodes: int = 16) -> float:
-    """n-point Gauss-Legendre on [a, b]; f must accept a vector of points."""
+def gl_panels(f: Callable[[np.ndarray], np.ndarray], lo, hi,
+              nodes: int = _NODES) -> List[float]:
+    """The n-point Gauss-Legendre sum on each panel [lo[k], hi[k]], from one
+    call of f, which must accept a vector of points, on the nodes of all
+    panels.  Each panel is its own dot product over its nodes: a
+    matrix-vector product over all panels at once rounds some sums
+    differently."""
     x, w = _rule(nodes)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(mid + half * x)))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    vals = f((mid[:, None] + half[:, None] * x).ravel()).reshape(len(mid), nodes)
+    return [float(h) * float(np.dot(w, v)) for h, v in zip(half, vals)]
 
 
 def integrate_log_endpoint(f, a: float, b: float) -> float:
@@ -49,19 +55,12 @@ def integrate_log_endpoint(f, a: float, b: float) -> float:
     h = b - a
     if h <= 0:
         return 0.0
-    x, w = _rule(_NODES)
     hi = a + h * np.ldexp(1.0, -np.arange(_LEVELS))
     lo = a + h * np.ldexp(1.0, -np.arange(1, _LEVELS + 1))
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
     total = 0.0
     k = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = f((mid[:, None] + half[:, None] * x).ravel()).reshape(_LEVELS, _NODES)
-        # one dot per panel over its own nodes: a matrix-vector product over
-        # all panels at once rounds some sums differently
-        while k < _LEVELS:
-            val = float(half[k]) * float(np.dot(w, vals[k]))
+        for val in gl_panels(f, lo, hi):
             if not math.isfinite(val):
                 break
             total += val

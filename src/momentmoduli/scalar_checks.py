@@ -27,7 +27,7 @@ from typing import Tuple
 import numpy as np
 
 from .distributions import FiniteDist, check_prob_rows, check_probs, mean_row
-from .quadrature import gl_panel, integrate_segment
+from .quadrature import gl_panels, integrate_segment
 from .spaces import AtomStack, RealLine
 
 __all__ = [
@@ -223,12 +223,13 @@ def laplace_log_identity(w: FiniteDist) -> Tuple[float, float]:
         return (np.exp(-s) - lap) / s
 
     cutoff = 1e-12
+    his = [s_hi]
+    while his[-1] * 0.5 > cutoff:
+        his.append(his[-1] * 0.5)
+    los = his[1:] + [cutoff]
     total = (float(mean_row(w)) - 1.0) * cutoff
-    hi = s_hi
-    while hi > cutoff:
-        lo = max(hi * 0.5, cutoff)
-        total += gl_panel(integrand, lo, hi, nodes=32)
-        hi = lo
+    for val in gl_panels(integrand, los, his, nodes=32):
+        total += val
     return lhs, total
 
 

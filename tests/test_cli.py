@@ -347,6 +347,24 @@ def test_verify_with_an_exponent_beyond_the_float_range_exits_2(capsys):
     assert "floating-point range" in err
 
 
+# the two sizes are refused by numpy before anything is allocated (EiB, PiB)
+@pytest.mark.parametrize("args,message", [
+    (["verify", "jensen-eps", "--eps", "0.5", "--p", "1e6"],
+     "error: a value leaves the floating-point range: float division by zero\n"),
+    (["constants", "--pmin", "1", "--pmax", "1e9", "--step", "1e-9"],
+     "error: the input is too large: "),
+    (["verify", "fn", "--n", "100000000", "--q", "inf", "--p", "1"],
+     "error: the input is too large: "),
+], ids=["underflow-to-zero", "constants-grid", "fn-rows"])
+def test_value_out_of_range_or_beyond_memory_exits_2_in_one_line(args, message):
+    env = {**os.environ, "PYTHONPATH": str(Path(momentmoduli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "momentmoduli.cli", *args],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(message)
+    assert proc.stderr.count("\n") == 1
+
+
 _REAL_CONFIG = {
     "space": {"kind": "real_line"},
     "X": {"atoms": [1.0, 0.0], "probs": [0.5, 0.5]},

@@ -248,6 +248,9 @@ def test_exact_constructions_reproduce_predictions():
     for nc in cases:
         out = verify_construction(nc)
         assert out.ok, (nc.id, nc.params, out.computed, nc.predicted)
+        # one tolerance for exact predictions, the solver-backed ones
+        # (fn_inf, two_point, eps_atom) included
+        assert (nc.prediction_kind, out.tolerance) == ("exact", 1e-6)
 
 
 def test_construction_ids_all_buildable():

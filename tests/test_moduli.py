@@ -932,10 +932,17 @@ def _golden_configs():
     ry = [CVector(rng.normal(size=3).astype(complex)) for _ in range(2)]
     l3_real = Config(l3, FiniteDist(l3, tuple(rx), rng.dirichlet(np.ones(3))),
                      FiniteDist(l3, tuple(ry), rng.dirichlet(np.ones(2))), 3.0)
+    # a sup-norm solve that iterates: the dense q = inf gradient
+    rng = np.random.default_rng(413)
+    linf = WeightedLq(INF)
+    sx = [CVector(rng.normal(size=3).astype(complex)) for _ in range(3)]
+    sy = [CVector(rng.normal(size=3).astype(complex)) for _ in range(2)]
+    linf_real = Config(linf, FiniteDist(linf, tuple(sx), rng.dirichlet(np.ones(3))),
+                       FiniteDist(linf, tuple(sy), rng.dirichlet(np.ones(2))), 3.0)
     # at p = 2 on l_2 the minimizer is the mixture mean, the best start
     return {"l2": Config(l2, x, y, 1.5), "l2-p2": Config(l2, x, y, 2.0),
             "linf-fn3": make_fn(3, INF, 1.0).config, "realline": real,
-            "l2-unit-p1": l2_unit, "l3-real-p3": l3_real}
+            "l2-unit-p1": l2_unit, "l3-real-p3": l3_real, "linf-real-p3": linf_real}
 
 
 def _point_bytes(z) -> bytes:
@@ -979,7 +986,17 @@ GOLDEN = {
                    0.5641778513583867, 9.116564485482515,
                    "260adff51fbd44a1c023ad26db680044dc05b0d80406c9fd24b5f452639c3fe5",
                    "atom:2"),
+    # recorded while the q = inf subgradients were scattered onto the
+    # maximizing coordinates; that solve's certified interval was
+    # [4.925037948968497, 4.925037948972305]
+    "linf-real-p3": ("b8e0380738266e42f57d8b834ddf4a56e65137b7073c67c74fbda431b31d55c9",
+                     0.5891673384723651, 4.925037948972305,
+                     "736f63c66153a37a6d68479ab0154575587d2713c3305df80d92e06640b2902e",
+                     "mixture_mean"),
 }
+
+# entries pinned to the steps and the stop of their solve as well
+GOLDEN_STEPS = {"linf-real-p3": (750, "gap")}
 
 
 # entries whose solve now ends on the certified gap, with their best start:
@@ -997,6 +1014,9 @@ GAP_STOPPED = {"l2": "mixture_mean", "linf-fn3": "mixture_mean",
 def test_mean_mixture_and_barycenter_golden_values(name):
     cfg = _golden_configs()[name]
     got = _golden(cfg)
+    if name in GOLDEN_STEPS:
+        cert = minimize_barycenter(cfg)
+        assert (cert.iterations, cert.stop) == GOLDEN_STEPS[name]
     if name not in GAP_STOPPED:
         assert got == GOLDEN[name]
         return
