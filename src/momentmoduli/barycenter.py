@@ -1,6 +1,7 @@
-"""Convex barycenter minimization, stopped on a certified duality gap:
-majorize-minimize steps on the Euclidean kinds, multi-start projected
-subgradient descent otherwise and as their fallback.
+"""Convex barycenter minimization, stopped on a certified duality gap: a
+closed form where there is one, else majorize-minimize steps on the
+Euclidean kinds, then limited-memory quasi-Newton steps on every kind, and
+multi-start projected subgradient descent as the fallback.
 
 The objective  f(z) = E d(X, z)^p + E d(Y, z)^p  is convex for p >= 1 on the
 linear space kinds, so the subgradient method with a diminishing step
@@ -49,16 +50,37 @@ distance to the minimizer and the bound only first order, so f reaches its
 float floor while the bound at the best point stays loose.  The step is not
 defined on an atom; if an iterate lands on one, stalls (no 1e-12 relative
 progress in ``_STALL_WINDOW`` steps) or takes ``max_iters_per_start`` steps
-without the gap, the subgradient loop below runs from every start and from
-the best majorize-minimize point.  That happens near p = 1, where a
-minimizer close to an atom takes the rate of the step towards 1.
+without the gap, the quasi-Newton stage below runs next.  That happens near
+p = 1, where a minimizer close to an atom takes the rate of the step
+towards 1.
 
-Stop rule.  The bound is taken at every start and then every
-``_BOUND_EVERY`` iterations: at the majorize-minimize iterate, and in the
-subgradient loop at the best point so far.  The solve stops (``stop`` "gap")
-as soon as the least objective value is within a relative ``_GAP_TARGET`` of
-the best bound.  The bound moves no iterate, so a subgradient loop that never
-reaches the gap takes exactly the steps it would take without it.  The loop
+Quasi-Newton stage.  Where the gap is still open, limited-memory BFGS (Liu
+& Nocedal, Math. Prog. 1989) runs from the row of least value, as one more
+row labelled like that row.  Its iterate is the real vector of the real and
+imaginary parts of the flattened entries; the direction comes from the
+two-loop recursion over the last ``_QN_MEMORY`` pairs of positive curvature,
+the first one from the Polyak step to the best bound, and the step length
+from Armijo backtracking by halving.  Every trial point and subgradient is
+projected under ``zero_sum``, so that rounding cannot carry the iterate off
+the hyperplane, where its value could fall below the constrained bound.  The
+steps never raise the value, so the bound is taken at the iterate, every
+``_QN_BOUND_EVERY`` steps and where the stage ends.  The stage ends on the
+gap, when a trial step falls below the unit roundoff of the iterate's norm,
+after ``_QN_STALL`` steps without 1e-12 relative progress, or after
+``max_iters_per_start`` steps.  The method is made for smooth objectives and
+still makes progress at kinks (Lewis & Overton, Math. Prog. 2013), but where
+the minimizer sits on a kink of the norm its bound stays open.
+
+Stop rule.  The bound is taken at every start, then as above in the two
+stages, and every ``_BOUND_EVERY`` iterations of the subgradient loop at the
+best point of the rows it iterates.  The solve stops (``stop`` "gap") as
+soon as the least objective value is within a relative ``_GAP_TARGET`` of
+the best bound.  The subgradient loop, the fallback, iterates only the rows
+that existed before the quasi-Newton stage (every start and the
+majorize-minimize row) and measures its progress on them alone, and the
+bound moves no iterate, so a loop that never reaches the gap takes exactly
+the steps it would take without the stage and the bound; the value of record
+is the least over all rows, never above the loop's own.  The loop
 runs the step schedule s_k = s0 / sqrt(k), with s0 the diameter of the
 support, applied to the normalized subgradient direction, in three
 warm-restarted stages with geometrically shrinking s0 (1, 1/30, 1/900 of the
@@ -70,7 +92,7 @@ deterministic and the multi-start reduction is an index-tie-broken min,
 independent of execution order.
 
 Two cases separate across coordinates into problems with a known minimizer
-and skip the loop (``iterations`` 0, ``stop`` "closed_form", no diameter
+and take no step (``iterations`` 0, ``stop`` "closed_form", no diameter
 computed):
 
 * p = q = 2 (``WeightedLq(2)`` with any weights, ``RealLine`` at p = 2): the
@@ -90,6 +112,7 @@ most ``value`` (for a closed form, the value less its rounding allowance);
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -118,6 +141,12 @@ _STALL_WINDOW = 400
 # iterations between two lower bounds, and the relative gap that ends a solve
 _BOUND_EVERY = 50
 _GAP_TARGET = 1e-12
+# the quasi-Newton stage: pairs kept, steps between two lower bounds, steps
+# without progress that end it, and the Armijo constant
+_QN_MEMORY = 10
+_QN_BOUND_EVERY = 5
+_QN_STALL = 10
+_ARMIJO = 1e-4
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -501,6 +530,68 @@ def _support_diameter(space: Space, joint: AtomStack) -> float:
     return float(pairwise_powered(space, joint, joint, 1.0).max())
 
 
+def _quasi_newton_steps(problem: _Problem, z: np.ndarray, lower: float):
+    """Limited-memory BFGS steps from the one-row iterate ``z``, yielding the
+    objective and the iterate after each step.
+
+    The iterate is the real vector of the real and imaginary parts of the
+    flattened entries, the direction comes from the two-loop recursion over
+    the last ``_QN_MEMORY`` pairs with positive curvature (Liu & Nocedal,
+    Math. Prog. 1989) and the step length from Armijo backtracking by
+    halving.  Every trial point and subgradient is projected.  The first
+    direction is the Polyak step to ``lower`` (or to 0, a lower bound on any
+    objective); a direction that is not one of descent drops the pairs.  It
+    returns when a trial step falls below the unit roundoff of ||x||, or at
+    once on a non-finite start."""
+    k = z.shape[1]
+
+    def split(w: np.ndarray) -> np.ndarray:
+        return np.concatenate([w.real, w.imag], axis=-1)[0]
+
+    f, g = problem.value_and_subgrad(z)
+    g = split(problem.project(g))
+    x = split(z)
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        return
+    gg = g @ g
+    gamma = (f[0] - max(lower, 0.0)) / gg if gg > 0.0 else 1.0
+    pairs = []
+    while True:
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d = d - alphas[-1] * y
+        d = gamma * d
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d = d + (a - rho * (y @ d)) * s
+        slope = g @ d
+        if not slope < 0.0:
+            pairs.clear()
+            d = -gamma * g
+            slope = g @ d
+        floor = _UNIT_ROUNDOFF * math.sqrt(x @ x)
+        dn = math.sqrt(d @ d)
+        t = 1.0
+        while True:
+            if t * dn <= floor:
+                return
+            trial = x + t * d
+            z_t = problem.project((trial[:k] + 1j * trial[k:])[None])
+            f_t, g_t = problem.value_and_subgrad(z_t)
+            if f_t[0] <= f[0] + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        x_t, g_t = split(z_t), split(problem.project(g_t))
+        s, y = x_t - x, g_t - g
+        sy = s @ y
+        if sy > 0.0:
+            pairs = pairs[1 - _QN_MEMORY:] + [(s, y, 1.0 / sy)]
+            gamma = sy / (y @ y)
+        x, f, g = x_t, f_t, g_t
+        yield f, z_t
+
+
 # zero distances divide by zero in the subgradients; those entries are masked
 @np.errstate(divide="ignore", invalid="ignore")
 def minimize_barycenter(config: Config,
@@ -523,14 +614,21 @@ def minimize_barycenter(config: Config,
     ``_BOUND_EVERY`` steps at the iterate; the best point is one more row,
     and ``best_start`` names the start it came from.  If that ends without
     the gap (an iterate on an atom, a stall or ``max_iters_per_start``
-    steps), and for every other problem, multi-start projected subgradient
-    descent runs from every row, with the bound every ``_BOUND_EVERY``
-    iterations at the best point so far.  Each of its three stages ends on
-    a stall (no 1e-12 relative progress in ``_STALL_WINDOW`` steps) or at
-    its share of ``max_iters_per_start``, and ``stop`` is "stall" or "cap"
-    after the last one.  The bound moves no iterate, and ``iterations``
-    counts the steps of both loops; the support diameter is computed only
-    if the subgradient loop runs.
+    steps), and for every other problem, limited-memory BFGS runs from the
+    row of least value, as one more row labelled like it, with the bound
+    every ``_QN_BOUND_EVERY`` steps and at its end at the iterate.  It ends
+    on the gap, on a trial step below the unit roundoff of the iterate's
+    norm, after ``_QN_STALL`` steps without 1e-12 relative progress, or
+    after ``max_iters_per_start`` steps.  If the gap is still open,
+    multi-start projected subgradient descent runs from every row that
+    existed before that stage, with the bound every ``_BOUND_EVERY``
+    iterations at the best of those rows.  Each of its three stages ends on
+    a stall of those rows (no 1e-12 relative progress in ``_STALL_WINDOW``
+    steps) or at its share of ``max_iters_per_start``, and ``stop`` is
+    "stall" or "cap" after the last one.  So ``max_iters_per_start`` bounds
+    the steps of each of the three loops, and ``iterations`` counts the
+    steps of all three.  The bound moves no iterate; the support diameter
+    is computed only if the subgradient loop runs.
 
     When the minimizer has a closed form (p = q = 2: the mixture mean; p = 1
     with real atoms on the real line or l_1 without ``zero_sum``: the
@@ -571,7 +669,11 @@ def minimize_barycenter(config: Config,
     g_best = float(f_best.min())
     last_progress = 0
 
-    def gap_closed() -> bool:
+    def bound_closes(rows: np.ndarray) -> bool:
+        """Raise ``lower`` to the best bound from ``rows``; whether the gap
+        is now closed."""
+        nonlocal lower
+        lower = max(lower, float(problem.lower_bound(rows, g_best).max()))
         return g_best - lower <= _GAP_TARGET * g_best
 
     def record(k: int, f: np.ndarray, z_cur: np.ndarray, rows=slice(None)) -> None:
@@ -592,10 +694,8 @@ def minimize_barycenter(config: Config,
     iterations = 0
     lower = -math.inf
     stop = "closed_form" if closed else None
-    if stop is None:
-        lower = float(problem.lower_bound(z, g_best).max())
-        if gap_closed():
-            stop = "gap"
+    if stop is None and bound_closes(z):
+        stop = "gap"
     if stop is None and euclidean:
         # majorize-minimize from the best start off every atom, as one more
         # row; the bound is taken at the iterate, which converges to the
@@ -611,18 +711,37 @@ def minimize_barycenter(config: Config,
                 f, z_next, on_atom = problem.majorize(z_cur)
                 record(k, f, z_cur, slice(-1, None))
                 iterations += 1
-                if iterations % _BOUND_EVERY == 0:
-                    lower = max(lower, float(problem.lower_bound(z_cur, g_best)[0]))
-                    if gap_closed():
-                        stop = "gap"
-                        break
+                if iterations % _BOUND_EVERY == 0 and bound_closes(z_cur):
+                    stop = "gap"
+                    break
                 if on_atom[0] or k - last_progress > _STALL_WINDOW:
                     break
                 z_cur = z_next
+    n_rows = len(f_best)        # the rows that the subgradient loop iterates
+    qn_steps = 0
+    if stop is None:
+        # quasi-Newton from the row of least value, as one more row; its
+        # steps never raise the value, so the bound is taken at the iterate
+        row = int(np.argmin(f_best))
+        labels.append(labels[row])
+        f_best = np.append(f_best, f_best[row])
+        z_best = np.concatenate([z_best, z_best[row:row + 1]])
+        last_progress = 0
+        steps = _quasi_newton_steps(problem, z_best[row:row + 1], lower)
+        for k, (f, z_cur) in enumerate(itertools.islice(steps, max_iters_per_start), 1):
+            record(k, f, z_cur, slice(-1, None))
+            qn_steps = k
+            if k % _QN_BOUND_EVERY == 0 and bound_closes(z_cur):
+                stop = "gap"
+                break
+            if k - last_progress >= _QN_STALL:
+                break
+        if stop is None and qn_steps % _QN_BOUND_EVERY and bound_closes(z_best[-1:]):
+            stop = "gap"
     if stop is None:
         diam = _support_diameter(config.space, joint) * problem.scale
         stop = "stall"          # a one-point support takes no step
-        z_cur = z_best.copy()
+        z_cur = z_best[:n_rows].copy()
         for frac, fac in _STAGES if diam > 0.0 else ():
             k_max = max(1, int(frac * max_iters_per_start))
             s0 = diam * fac
@@ -630,13 +749,11 @@ def minimize_barycenter(config: Config,
             stop = "cap"
             for k in range(1, k_max + 1):
                 f, g = problem.value_and_subgrad(z_cur)
-                record(k, f, z_cur)
+                record(k, f, z_cur, slice(n_rows))
                 iterations += 1
                 if iterations % _BOUND_EVERY == 0:
-                    best = int(np.argmin(f_best))
-                    lower = max(lower, float(problem.lower_bound(z_best[best:best + 1],
-                                                                 g_best)[0]))
-                    if gap_closed():
+                    best = int(np.argmin(f_best[:n_rows]))
+                    if bound_closes(z_best[best:best + 1]):
                         stop = "gap"
                         break
                 if k - last_progress > _STALL_WINDOW:
@@ -648,7 +765,7 @@ def minimize_barycenter(config: Config,
                 z_cur = problem.project(z_cur - step * (g / safe[:, None]))
             if stop == "gap":
                 break
-            z_cur = z_best.copy()
+            z_cur = z_best[:n_rows].copy()
 
     best_idx = int(np.argmin(f_best))
     z_star = config.X.stack.with_array(problem.rows(z_best[best_idx:best_idx + 1]))
@@ -667,7 +784,7 @@ def minimize_barycenter(config: Config,
     return BarycenterCert(
         z_star=z_star.points()[0],
         value=value,
-        iterations=iterations,
+        iterations=iterations + qn_steps,
         starts=n_starts,
         best_start=labels[best_idx],
         lower=lower,

@@ -323,9 +323,12 @@ def test_minimize_barycenter_schatten_symmetric_pair():
 
 # ------------------------------------------------ SVD subgradients
 
-def _matrix_config(space, p, seed, nx, ny, zero_sum=False):
+def _complex_config(space, p, seed, nx, ny, zero_sum=False):
+    """Laws of ``nx`` and ``ny`` complex atoms drawn from
+    ``default_rng(seed)``: 2 x 2 matrices, 3 coordinates for l_q."""
     rng = np.random.default_rng(seed)
-    shape = (2, 2) if isinstance(space, Schatten) else (2 * space.n,)
+    shape = ((2, 2) if isinstance(space, Schatten) else (3,) if isinstance(space, WeightedLq)
+             else (2 * space.n,))
 
     def law(n):
         a = rng.normal(size=(n,) + shape) + 1j * rng.normal(size=(n,) + shape)
@@ -357,7 +360,7 @@ def _central_difference(cfg, problem, z, h=1e-6):
 @pytest.mark.parametrize("space", [Schatten(1.0), Schatten(1.5), Schatten(3.0),
                                    ParallelogramS1(1), ParallelogramS1(2)], ids=str)
 def test_svd_subgradients_match_central_differences(space, p):
-    cfg = _matrix_config(space, p, 21, 3, 2)
+    cfg = _complex_config(space, p, 21, 3, 2)
     problem = _SvdProblem(cfg)
     rng = np.random.default_rng(22)
     shape = (4,) + cfg.X.stack.array.shape[1:]
@@ -372,7 +375,7 @@ def test_svd_subgradients_match_central_differences(space, p):
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
 def test_schatten2_solves_equal_l2_solves_on_the_flattened_entries(p, zero_sum):
     # the Schatten-2 norm is the l_2 norm of the entries
-    cfg = _matrix_config(Schatten(2.0), p, 11, 2, 2, zero_sum)
+    cfg = _complex_config(Schatten(2.0), p, 11, 2, 2, zero_sum)
     l2 = WeightedLq(2.0)
 
     def flat(law):
@@ -390,7 +393,7 @@ def test_schatten2_solves_equal_l2_solves_on_the_flattened_entries(p, zero_sum):
                                      (ParallelogramS1(1), 1.0), (ParallelogramS1(1), 2.0)],
                          ids=str)
 def test_uncapped_svd_solves_have_the_minimizer_properties(space, p):
-    cfg = _matrix_config(space, p, 0, 2, 1)
+    cfg = _complex_config(space, p, 0, 2, 1)
     cert = minimize_barycenter(cfg)
     assert cert.value == barycenter_objective(cfg, cert.z_star)
     both = np.concatenate([cfg.X.stack.array, cfg.Y.stack.array])
@@ -496,7 +499,9 @@ def _times_power_of_two(cfg, k):
     return Config(cfg.space, law(cfg.X), law(cfg.Y), cfg.p, cfg.zero_sum)
 
 
-def _euclidean_config(space, p, seed, weights=None, zero_sum=False, complex_atoms=True):
+def _seeded_config(space, p, seed, weights=None, zero_sum=False, complex_atoms=True):
+    """Laws of 3 and 2 atoms on 3 coordinates (or the real line), drawn from
+    ``default_rng(seed)``: X's atoms and probabilities, then Y's."""
     rng = np.random.default_rng(seed)
     shape = () if isinstance(space, RealLine) else (3,)
 
@@ -511,17 +516,17 @@ def _euclidean_config(space, p, seed, weights=None, zero_sum=False, complex_atom
 
 # the majorize-minimize path: weighted l_2 with a weight 0, zero_sum with
 # equal weights, the real line, at unit size and at 2^498 and 2^-498 times
-# it, and unequal weights under zero_sum, which the subgradient loop solves
-@example((_euclidean_config(WeightedLq(2.0), 1.0, 1, np.array([0.5, 0.0, 2.0])), 0))
-@example((_euclidean_config(WeightedLq(2.0), 1.2, 2, np.full(3, 0.25), zero_sum=True), 0))
-@example((_euclidean_config(WeightedLq(2.0), 1.5, 3, zero_sum=True), 498))
-@example((_euclidean_config(WeightedLq(2.0), 1.9, 4, np.array([1.0, 0.0, 3.0]),
-                            complex_atoms=False), 0))
-@example((_euclidean_config(WeightedLq(2.0), 1.0, 8, complex_atoms=False), -498))
-@example((_euclidean_config(RL, 1.2, 5), 0))
-@example((_euclidean_config(RL, 1.9, 6, zero_sum=True), 0))
-@example((_euclidean_config(WeightedLq(2.0), 1.5, 7, np.array([1.0, 0.0, 3.0]),
-                            zero_sum=True), 0))
+# it, and unequal weights under zero_sum, which the quasi-Newton stage solves
+@example((_seeded_config(WeightedLq(2.0), 1.0, 1, np.array([0.5, 0.0, 2.0])), 0))
+@example((_seeded_config(WeightedLq(2.0), 1.2, 2, np.full(3, 0.25), zero_sum=True), 0))
+@example((_seeded_config(WeightedLq(2.0), 1.5, 3, zero_sum=True), 498))
+@example((_seeded_config(WeightedLq(2.0), 1.9, 4, np.array([1.0, 0.0, 3.0]),
+                         complex_atoms=False), 0))
+@example((_seeded_config(WeightedLq(2.0), 1.0, 8, complex_atoms=False), -498))
+@example((_seeded_config(RL, 1.2, 5), 0))
+@example((_seeded_config(RL, 1.9, 6, zero_sum=True), 0))
+@example((_seeded_config(WeightedLq(2.0), 1.5, 7, np.array([1.0, 0.0, 3.0]),
+                         zero_sum=True), 0))
 @settings(max_examples=25, deadline=None)
 @given(_bound_configs())
 def test_barycenter_lower_bound_never_exceeds_the_minimum(case):
@@ -556,9 +561,9 @@ def test_fn_inf_solve_stops_on_the_gap_at_its_starts():
 
 def test_each_stop_reason_and_the_solver_json():
     golden = _golden_configs()
-    cases = [(golden["l2-p2"], {}, "closed_form"), (golden["l3-real-p3"], {}, "stall"),
+    cases = [(golden["l2-p2"], {}, "closed_form"), (_sup_norm_stall_config(), {}, "stall"),
              (make_fn(2, INF, 1.0).config, {}, "gap"),
-             (_matrix_config(ParallelogramS1(1), 2.0, 0, 2, 2), {"max_iters_per_start": 30},
+             (_complex_config(ParallelogramS1(1), 2.0, 1, 2, 2), {"max_iters_per_start": 30},
               "cap")]
     for cfg, kwargs, stop in cases:
         cert = minimize_barycenter(cfg, **kwargs)
@@ -566,6 +571,45 @@ def test_each_stop_reason_and_the_solver_json():
         assert cert.lower <= cert.value
         out = cert.to_json()
         assert (out["lower"], out["gap"], out["stop"]) == (cert.lower, cert.gap, stop)
+
+
+def _sup_norm_stall_config():
+    """A real l_inf input whose gap neither the quasi-Newton stage nor the
+    subgradient loop closes: it stays near 1e-4 relative."""
+    return _seeded_config(WeightedLq(INF), 1.5, 408, complex_atoms=False)
+
+
+def test_sup_norm_stall_stays_at_most_the_subgradient_loop_value():
+    # the subgradient loop alone ended this solve on a stall at
+    # 3.514225098035734; it now iterates the same rows with the same steps
+    cert = minimize_barycenter(_sup_norm_stall_config())
+    assert cert.stop == "stall"
+    assert cert.lower <= cert.value <= 3.514225098035734
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("space", [WeightedLq(1.5), WeightedLq(3.0), Schatten(1.5),
+                                   Schatten(3.0)], ids=str)
+def test_smooth_solves_close_the_gap_in_the_quasi_newton_stage(space, p, s):
+    cfg = _complex_config(space, p, [s, 99], 3, 3)
+    cert = minimize_barycenter(cfg)
+    assert cert.stop == "gap"
+    assert cert.iterations <= 50
+    both = np.concatenate([cfg.X.stack.array, cfg.Y.stack.array])
+    starts = np.concatenate([both, mean_row(mixture(cfg.X, cfg.Y))[None],
+                             np.zeros_like(both[:1])])
+    assert np.all(cert.value <= _objective_at_rows(cfg, starts))
+
+
+def test_zero_sum_quasi_newton_iterates_stay_on_the_hyperplane():
+    # an iterate off the hyperplane by rounding drift has a value below the
+    # constrained problem's certified lower bound
+    cfg = _complex_config(WeightedLq(3.0), 1.5, [0, 99], 3, 3, zero_sum=True)
+    cert = minimize_barycenter(cfg)
+    assert cert.stop == "gap"
+    entries = np.asarray(cert.z_star.entries)
+    assert abs(entries.sum()) <= 4 * 2.0 ** -52 * np.abs(entries).sum()
 
 
 def _l2_atom_minimum_config():
@@ -982,21 +1026,26 @@ GOLDEN = {
                    1.2273755297842783, 3.5863471522827006,
                    "397799c8f4af67e58e303b4e83509f9ab71efe9ac4ab7eaef28a830af2399c08",
                    "atom:4"),
+    # the barycenter value recorded again when this solve first ended on the
+    # gap, from the quasi-Newton stage: the stall value before,
+    # 9.116564485482515, was 1.35e-12 above it, and the new value lies in
+    # that solve's certified interval [9.116564485466816, 9.116564485482515]
     "l3-real-p3": ("e69dd8ec9ffa824c4013218a023e4356eacb388fcbc2afc7456123f3f8e792b7",
-                   0.5641778513583867, 9.116564485482515,
+                   0.5641778513583867, 9.116564485470231,
                    "260adff51fbd44a1c023ad26db680044dc05b0d80406c9fd24b5f452639c3fe5",
                    "atom:2"),
-    # recorded while the q = inf subgradients were scattered onto the
-    # maximizing coordinates; that solve's certified interval was
-    # [4.925037948968497, 4.925037948972305]
+    # recorded when the quasi-Newton stage closed this solve's gap in 5 steps;
+    # the subgradient loop before ended on the gap after 750 steps at
+    # 4.925037948972305, in the certified interval
+    # [4.925037948968497, 4.925037948972305], which holds the new value
     "linf-real-p3": ("b8e0380738266e42f57d8b834ddf4a56e65137b7073c67c74fbda431b31d55c9",
-                     0.5891673384723651, 4.925037948972305,
-                     "736f63c66153a37a6d68479ab0154575587d2713c3305df80d92e06640b2902e",
-                     "mixture_mean"),
+                     0.5891673384723651, 4.925037948970301,
+                     "c6994a07673c1fd6448b7419450036da7d63f2705a93dbd792f62a915d3533da",
+                     "zero"),
 }
 
 # entries pinned to the steps and the stop of their solve as well
-GOLDEN_STEPS = {"linf-real-p3": (750, "gap")}
+GOLDEN_STEPS = {"linf-real-p3": (5, "gap")}
 
 
 # entries whose solve now ends on the certified gap, with their best start:
@@ -1005,9 +1054,10 @@ GOLDEN_STEPS = {"linf-real-p3": (750, "gap")}
 # value.  linf-fn3 ends at its starts, where the mixture mean has the least
 # float value (one ulp under the exact infimum 14); its recorded minimizer
 # came from iterating from atom 1.  l2 and realline are Euclidean at
-# 1 <= p < 2 and end on the majorize-minimize iterates from the mixture mean
+# 1 <= p < 2 and end on the majorize-minimize iterates from the mixture mean;
+# l3-real-p3 ends on the quasi-Newton iterate from the mixture mean
 GAP_STOPPED = {"l2": "mixture_mean", "linf-fn3": "mixture_mean",
-               "realline": "mixture_mean"}
+               "realline": "mixture_mean", "l3-real-p3": "mixture_mean"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
