@@ -687,7 +687,7 @@ def minimize_barycenter(config: Config,
             mine[improved] = f[improved]
             z_best[rows][improved] = z_cur[improved]
         after = float(mine.min())
-        if after < before - max(1e-15, 1e-12 * abs(before)):
+        if after < before - 1e-12 * abs(before):
             last_progress = k
         g_best = min(g_best, after)
 

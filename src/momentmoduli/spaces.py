@@ -470,6 +470,12 @@ def _parallelogram(c: np.ndarray):
     return 0.5 * (np.sqrt(s + 2.0 * lam) + np.sqrt(np.clip(s - 2.0 * lam, 0.0, None))), s
 
 
+# the most entries of the (rows, m, d) temporaries of one row block of
+# pairwise_powered: 2^16 complex entries are 1 MiB, which stays in cache, so
+# a kernel call's memory is its (n, m) result plus a few such blocks
+_BLOCK_ENTRIES = 2 ** 16
+
+
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
     """Matrix of d(x, y)^p over xs x ys.
@@ -485,21 +491,50 @@ def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
     likewise recomputed scaled by their largest |c_k|.  Numpy's float
     warnings are off: a power that truly overflows is inf, which the ratios
     report once.
+
+    The kernel runs over row blocks of ``xs`` whose temporaries hold at most
+    ``_BLOCK_ENTRIES`` entries; a product that fits in one block is one
+    call.  Every entry is computed per pair and reduced along its own last
+    axis, so the blocks do not change a bit of it.  When ``xs is ys`` only
+    the blocks on and above the diagonal are computed and the lower triangle
+    is the upper one transposed: x - y = -(y - x) exactly, and abs, the
+    parallelogram form and the graph metric are even in that sign.  Schatten
+    self pairs compute both triangles, since LAPACK does not promise that
+    svd(-A) is svd(A) bit for bit.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive")
     if isinstance(space, Snowflake):
         return pairwise_powered(space.base, xs, ys, space.alpha * p)
+    same = xs is ys
     xs = stack_points(space, xs)
-    ys = stack_points(space, ys)
+    ys = xs if same else stack_points(space, ys)
     _check_compatible(xs, ys)
     e, f = xs.array, ys.array
+    n, m = len(e), len(f)
+    width = m * f[0].size           # block entries per row of xs
+    if n * width <= _BLOCK_ENTRIES:
+        return _powered(space, e, f, xs.weights, p)
+    rows = max(1, _BLOCK_ENTRIES // width)
+    upper = same and not isinstance(space, Schatten)
+    out = np.empty((n, m))
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        lo = a if upper else 0
+        out[a:b, lo:] = _powered(space, e[a:b], f[lo:], xs.weights, p)
+        if upper:
+            out[b:, a:b] = out[a:b, b:].T
+    return out
 
+
+def _powered(space: Space, e: np.ndarray, f: np.ndarray, w: Optional[np.ndarray],
+             p: float) -> np.ndarray:
+    """The matrix d(x, y)^p over the rows ``e`` x ``f`` of checked stacks on
+    the base kind ``space``, with the vector kinds' shared weights ``w``."""
     if isinstance(space, RealLine):
         return np.abs(e[:, None] - f[None, :]) ** p
 
     if isinstance(space, WeightedLq):
-        w = xs.weights
         absd = np.abs(e[:, None, :] - f[None, :, :])
         if space.q == INF:
             mask = w > 0

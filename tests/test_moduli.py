@@ -612,6 +612,23 @@ def test_zero_sum_quasi_newton_iterates_stay_on_the_hyperplane():
     assert abs(entries.sum()) <= 4 * 2.0 ** -52 * np.abs(entries).sum()
 
 
+def test_solver_stops_alike_on_scaled_laws():
+    # the stall rule is relative: an absolute floor of 1e-15 on the progress
+    # ended the tiny solves on "stall" after 2,049 and 1,213 iterations
+    rng = np.random.default_rng([0, 99])
+    xa, ya = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+    xp, yp = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+    l3 = WeightedLq(3.0)
+    stops = []
+    for k in (0, -20, -60):
+        cfg = Config(l3, FiniteDist(l3, AtomStack(l3, xa * 2.0 ** k), xp),
+                     FiniteDist(l3, AtomStack(l3, ya * 2.0 ** k), yp), 1.0)
+        cert = minimize_barycenter(cfg)
+        assert cert.gap <= 1e-12 * cert.value
+        stops.append((cert.stop, cert.iterations))
+    assert stops == [("gap", 20)] * 3
+
+
 def _l2_atom_minimum_config():
     """The fixed l_2, p = 1 input of the benchmark's ``l2-atom-minimum``
     operation, drawn with the same generator calls: its minimizer lies 0.44

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_point
+from momentmoduli import spaces
+from momentmoduli.constructions import make_jensen
 from momentmoduli.distributions import FiniteDist, cross_moment
+from momentmoduli.moduli import jensen_ratio
 from momentmoduli.spaces import (
     INF,
     AtomStack,
@@ -385,3 +389,77 @@ def test_parallelogram_ordinary_values_take_the_unscaled_path():
     ref = 0.5 * (np.sqrt(rr + ii + 2.0 * lam) + np.sqrt(np.clip(rr + ii - 2.0 * lam, 0.0, None)))
     xs = [CVector(row) for row in e]
     assert np.array_equal(pairwise_powered(ParallelogramS1(2), xs, xs, 1.5), ref ** 1.5)
+
+
+# ------------------------------------------------------------ row blocks
+
+@pytest.fixture(params=[7, 10, 64])
+def small_blocks(request, monkeypatch):
+    # blocks of a few entries, so that stacks of a few atoms cross several
+    # row blocks; at 10 and 64 the last block of some kinds is a short one
+    monkeypatch.setattr(spaces, "_BLOCK_ENTRIES", request.param)
+
+
+def _one_pair_matrix(space, xs, ys, p):
+    return np.array([[pairwise_powered(space, [x], [y], p)[0, 0] for y in ys.points()]
+                     for x in xs.points()])
+
+
+@pytest.mark.parametrize("space", [RealLine(), WeightedLq(1.0), WeightedLq(3.0),
+                                   WeightedLq(INF), Schatten(2.0), ParallelogramS1(1),
+                                   Snowflake(WeightedLq(2.0), 0.5), BipartiteGraph(3)],
+                         ids=str)
+def test_row_blocks_are_bitwise_the_one_pair_kernel(space, small_blocks):
+    rng = np.random.default_rng(17)
+    weights = np.array([1.0, 0.0, 2.0]) if isinstance(space, (WeightedLq, Snowflake)) else None
+    dim = 2 if isinstance(space, Schatten) else 3
+    xs, ys = (stack_points(space, [random_point(space, rng, dim, weights) for _ in range(n)])
+              for n in (7, 4))
+    for a, b in ((xs, xs), (xs, ys)):
+        assert np.array_equal(pairwise_powered(space, a, b, 1.5), _one_pair_matrix(space, a, b, 1.5))
+    m = pairwise_powered(space, xs, xs, 1.5)
+    assert not np.diagonal(m).any()
+    if not isinstance(space, Schatten):     # Schatten computes both triangles
+        assert np.array_equal(m, m.T)
+
+
+def test_rescued_rows_in_later_blocks_keep_their_values(small_blocks):
+    # the extreme-magnitude inputs above, after three ordinary rows
+    rng = np.random.default_rng(23)
+    lq_rows = [[1e300, 3.0, 0.0], [0.0, 1e-200, 0.0], [0.0, 1e200, 0.0], [0.0, 3e-200, 4e-200]]
+    cases = [
+        (WeightedLq(2.0), np.array([0.0, 1.0, 1.0]), (3,), lq_rows, [3.0, 1e-200, 1e200]),
+        (Schatten(2.0), None, (2, 2),
+         [np.diag([1e-200, 0.0]), np.diag([1e200, 0.0])], [1e-200, 1e200]),
+        (ParallelogramS1(1), None, (2,),
+         [[1e-200, 0.0], [1e200, 0.0], [3e-200, 4e-200j]], [1e-200, 1e200]),
+    ]
+    for space, w, shape, extreme, exact in cases:
+        ordinary = rng.normal(size=(3,) + shape) + 1j * rng.normal(size=(3,) + shape)
+        xs = AtomStack(space, np.concatenate([ordinary, np.array(extreme)]), w)
+        ys = xs.with_array(np.concatenate([np.zeros((1,) + shape), ordinary[:1]]))
+        m = pairwise_powered(space, xs, ys, 1.0)
+        assert np.array_equal(m, _one_pair_matrix(space, xs, ys, 1.0))
+        assert m[3:3 + len(exact), 0].tolist() == exact
+        assert np.array_equal(pairwise_powered(space, xs, xs, 1.0),
+                              _one_pair_matrix(space, xs, xs, 1.0))
+
+
+def test_blocked_sup_norm_with_no_positive_weight_raises(small_blocks):
+    xs = AtomStack(WeightedLq(INF), np.ones((6, 3)), np.zeros(3))
+    with pytest.raises(ValueError, match="positive weight"):
+        pairwise_powered(WeightedLq(INF), xs, xs, 1.0)
+
+
+def test_large_self_moments_take_little_memory():
+    # the whole (200, 200, 128) difference array and its temporaries took a
+    # peak of 123 MB; row blocks keep it near 2 MB
+    nc = make_jensen("rademacher", p=2.0, n=100, q=3.0)
+    tracemalloc.start()
+    try:
+        value = jensen_ratio(nc.config.X, nc.config.p).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 2.514643678791849
+    assert peak < 16e6
