@@ -263,9 +263,12 @@ def mean_row(x: FiniteDist) -> np.ndarray:
 def stack_mean(stack: AtomStack, probs: np.ndarray) -> np.ndarray:
     """Entrywise expectation probs . stack.array of rows on a linear space
     kind, as one stack row."""
+    a = stack.array
     if isinstance(stack.space, RealLine):
-        return np.dot(probs, stack.array)
-    return np.tensordot(probs, stack.array, axes=1)
+        return np.dot(probs, a)
+    # the one dot product of np.tensordot(probs, a, axes=1), without its
+    # axis bookkeeping
+    return np.dot(probs.reshape(1, -1), a.reshape(len(a), -1)).reshape(a.shape[1:])
 
 
 def mean(x: FiniteDist) -> Point:

@@ -279,24 +279,29 @@ def metric_barycenter_ratio(config: Config) -> RatioReport:
 
     The candidates are the union of the two supports and, on a bipartite
     graph, the first vertex outside them per side, as far from each atom as
-    any other there.  They form one stack; each law's distances to all of
-    them come from one kernel call.
+    any other there.  They form one stack, and one kernel call gives the
+    distances from both laws' joint stack to all of them, a self pair when
+    there is no extra candidate; its X x Y block is the denominator.
     """
-    zs = config.X.stack.concat(config.Y.stack)
+    joint = config.X.stack.concat(config.Y.stack)
+    zs = joint
     if isinstance(config.space, BipartiteGraph):
-        rows = [zs.array]
+        rows = [joint.array]
         for side in (1, 0):
-            taken = set(zs.array[zs.array[:, 0] == side, 1].tolist())
+            taken = set(joint.array[joint.array[:, 0] == side, 1].tolist())
             free = min(set(range(len(taken) + 1)) - taken)
             if free < config.space.n:
                 rows.append([(side, free)])
-        zs = zs.with_array(np.concatenate(rows))
-    den = cross_moment(config.X, config.Y, config.p)
-    # one contiguous row per candidate, so that each candidate's sum is the
-    # same dot product as for that candidate alone
-    mx = np.ascontiguousarray(pairwise_powered(config.space, config.X.stack, zs, config.p).T)
-    my = np.ascontiguousarray(pairwise_powered(config.space, config.Y.stack, zs, config.p).T)
+        if len(rows) > 1:
+            zs = joint.with_array(np.concatenate(rows))
+    m = pairwise_powered(config.space, joint, zs, config.p)
+    nx = len(config.X.stack)
     px, py = config.X.probs, config.Y.probs
+    # contiguous blocks and one contiguous row per candidate, so that each sum
+    # is the same dot product as on that block or candidate alone
+    den = float(px @ np.ascontiguousarray(m[:nx, nx:len(joint)]) @ py)
+    mx = np.ascontiguousarray(m[:nx].T)
+    my = np.ascontiguousarray(m[nx:].T)
     best = min(float(px @ mx[j] + py @ my[j]) for j in range(len(zs)))
     bound = constants.metric_bound(config.p) if config.p >= 1.0 else None
     if den <= 0.0:

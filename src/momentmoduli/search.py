@@ -9,15 +9,20 @@ drift).
 
 A configuration is the two laws' atom stacks and probabilities, with no
 law objects, from each restart's start (a warm start or a random draw) to
-its last proposal.  One value-only evaluator prices them all and recomputes
-each ratio from scratch -- there is no incremental state to drift.  A
-roundness or mixture value is one kernel call on the joint stack of both
-laws whose blocks are reduced exactly as the moment functionals reduce them,
-so it equals the moduli module's value bit for bit; a barycenter value
-builds the configuration and goes through the moduli module over the one
-cross moment the evaluator computes, and its solve dominates.  Only the
-winning configuration goes through ``certify_ratio``, and its value is the
-one reported.
+its last proposal.  A start, and an accepted configuration rescaled, is
+priced whole: for roundness and mixture, one kernel call gives its joint
+matrix M = d(x, y)^p over [X; Y] x [X; Y], which the restart keeps.  A
+proposal is a move from the current configuration (a row perturbed, added
+or removed, or the masses of one side redrawn) and is priced against M: a
+new row takes one kernel call for its row and column of M, a removal
+deletes a row and column, and a reweight keeps M.  Each entry of M depends
+on its pair alone, and every matrix is reduced by one function that sums
+its blocks as the moment functionals sum them, so each ratio equals the
+moduli module's value bit for bit.  A barycenter proposal builds its
+configuration and goes through the moduli module over the one cross moment
+the evaluator computes, and its solve dominates.  Only the winning
+configuration goes through ``certify_ratio``, and its value is the one
+reported.
 
 Results are empirical lower bounds on the suprema being probed, never
 proofs, and are labeled as such in serialized output.
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +52,8 @@ from .spaces import (
     RealLine,
     Space,
     WeightedLq,
+    _check_rows,
+    _pairwise,
     pairwise_powered,
 )
 
@@ -187,18 +194,46 @@ def _moment(a: np.ndarray, block: np.ndarray, b: np.ndarray) -> float:
     return float(a @ np.ascontiguousarray(block) @ b)
 
 
-def _evaluate(spec: SearchSpec, state: State) -> Tuple[Optional[float], float]:
-    """The ratio of ``state`` and its denominator E d(X, Y)^p, both bit for
-    bit as ``certify_ratio`` and ``cross_moment`` compute them.  The ratio is
-    None where ``certify_ratio`` finds it degenerate or out of the float
-    range, or where it is not finite; any other error is a fault and
-    propagates.
+def _ratio(m: np.ndarray, zcol: Optional[np.ndarray], nx: int, xp: np.ndarray,
+           yp: np.ndarray) -> Tuple[Optional[float], float]:
+    """The ratio and denominator of a state whose first ``nx`` joint rows are
+    X's, from its joint matrix ``m`` and, for the mixture, the joint rows'
+    distances ``zcol`` to the midpoint: the one reduction of every state's
+    matrix, whose blocks are summed as the moment functionals sum them."""
+    den = _moment(xp, m[:nx, nx:], yp)
+    if zcol is None:
+        num = _moment(xp, m[:nx, :nx], xp) + _moment(yp, m[nx:, nx:], yp)
+    else:
+        num = float(xp @ np.ascontiguousarray(zcol[:nx])
+                    + yp @ np.ascontiguousarray(zcol[nx:]))
+    if not 0.0 < den < math.inf:
+        return None, den
+    v = num / den
+    return (v if math.isfinite(v) else None), den
 
-    A roundness or mixture value is one kernel call on the joint stack,
-    [X; Y] x [X; Y] or [X; Y] x [Y; z] with z the midpoint of the means,
-    whose blocks are reduced as the moment functionals reduce them.  A
-    barycenter value is a solve, which builds the configuration, over the
-    cross moment computed here.
+
+def _midpoint(state: State) -> np.ndarray:
+    """The mixture's center (E[X] + E[Y]) / 2 as a one-row array, checked as
+    a stack row."""
+    xs, xp, ys, yp = state
+    z = (0.5 * (stack_mean(xs, xp) + stack_mean(ys, yp)))[None]
+    _check_rows(xs.space, z)
+    return z
+
+
+def _evaluate(spec: SearchSpec, state: State
+              ) -> Tuple[Optional[float], float, Optional[np.ndarray]]:
+    """The ratio of ``state``, its denominator E d(X, Y)^p and its joint
+    matrix, the ratio and denominator bit for bit as ``certify_ratio`` and
+    ``cross_moment`` compute them.  The ratio is None where ``certify_ratio``
+    finds it degenerate or out of the float range, or where it is not
+    finite; any other error is a fault and propagates.
+
+    A roundness or mixture state takes one kernel call for its joint matrix
+    d(x, y)^p over [X; Y] x [X; Y], with the mixture's midpoint z as one
+    more column.  A barycenter value is a solve, which builds the
+    configuration, over the cross moment computed here; it has no joint
+    matrix.
     """
     if spec.objective == "barycenter":
         config = _config(spec, state)
@@ -206,25 +241,17 @@ def _evaluate(spec: SearchSpec, state: State) -> Tuple[Optional[float], float]:
         try:
             v = barycenter_ratio_over(config, den).value
         except (DegenerateRatioError, OverflowError):
-            return None, den
-        return (v if math.isfinite(v) else None), den
+            return None, den, None
+        return (v if math.isfinite(v) else None), den, None
     xs, xp, ys, yp = state
-    nx = len(xs)
     joint = xs.concat(ys)
     if spec.objective == "roundness":
-        m = pairwise_powered(spec.space, joint, joint, spec.p)
-        den = _moment(xp, m[:nx, nx:], yp)
-        num = _moment(xp, m[:nx, :nx], xp) + _moment(yp, m[nx:, nx:], yp)
+        m, zcol = pairwise_powered(spec.space, joint, joint, spec.p), None
     else:
-        z = 0.5 * (stack_mean(xs, xp) + stack_mean(ys, yp))
-        m = pairwise_powered(spec.space, joint, ys.concat(ys.with_array(z[None])), spec.p)
-        den = _moment(xp, m[:nx, :-1], yp)
-        num = float(xp @ np.ascontiguousarray(m[:nx, -1])
-                    + yp @ np.ascontiguousarray(m[nx:, -1]))
-    if not 0.0 < den < math.inf:
-        return None, den
-    v = num / den
-    return (v if math.isfinite(v) else None), den
+        z = joint._sharing(_midpoint(state))
+        both = pairwise_powered(spec.space, joint, joint.concat(z), spec.p)
+        m, zcol = both[:, :-1], both[:, -1]
+    return (*_ratio(m, zcol, len(xs), xp, yp), m)
 
 
 def _normalized(state: State, den: float, p: float) -> Optional[State]:
@@ -241,6 +268,19 @@ def _normalized(state: State, den: float, p: float) -> Optional[State]:
 # Proposal moves
 # --------------------------------------------------------------------------
 
+class Move(NamedTuple):
+    """A proposal as a change to one side of the current state.  With a
+    ``row``, that row replaces the one at ``idx`` (perturb) or, at
+    ``idx == len(stack)``, is appended (add); with none, the row at ``idx``
+    is deleted when ``probs`` is one shorter (remove) and otherwise only the
+    masses change (reweight).  ``probs`` are the side's new probabilities."""
+
+    side_x: bool
+    idx: int
+    row: Optional[np.ndarray]
+    probs: np.ndarray
+
+
 def _perturbed_row(stack: AtomStack, idx: int, rng: np.random.Generator,
                    scale: float) -> np.ndarray:
     """Row ``idx`` with one coordinate moved by a Gaussian step."""
@@ -253,7 +293,7 @@ def _perturbed_row(stack: AtomStack, idx: int, rng: np.random.Generator,
 
 
 def _propose(state: State, spec: SearchSpec, rng: np.random.Generator,
-             scale: float) -> Optional[State]:
+             scale: float) -> Optional[Move]:
     xs, xp, ys, yp = state
     side_x = bool(rng.integers(2))
     stack, probs = (xs, xp) if side_x else (ys, yp)
@@ -262,35 +302,106 @@ def _propose(state: State, spec: SearchSpec, rng: np.random.Generator,
     u = rng.random()
     if u < 0.70:
         idx = int(rng.integers(n))
-        rows = stack.array.copy()
-        rows[idx] = _perturbed_row(stack, idx, rng, scale)
-        new = stack.with_array(rows), probs
-    elif u < 0.90:
+        row = _perturbed_row(stack, idx, rng, scale)
+        _check_rows(stack.space, row[None])     # a new row gets a stack row's checks
+        return Move(side_x, idx, row, probs)
+    if u < 0.90:
         kappa = min(max(50.0 / scale, 1.0), 1e6)
         conc = probs * kappa + 0.5
         drawn = rng.dirichlet(conc)
         if drawn.sum() <= 0:
             return None
-        new = stack, check_probs(drawn / drawn.sum(), n)
-    elif u < 0.95:
+        return Move(side_x, 0, None, check_probs(drawn / drawn.sum(), n))
+    if u < 0.95:
         if n >= max_atoms:
             return None
         idx = int(rng.integers(n))
         row = _perturbed_row(stack, idx, rng, max(scale, 0.1))
-        rows = np.concatenate([stack.array, row[np.newaxis]])
+        _check_rows(stack.space, row[None])
         grown = np.append(probs * (n / (n + 1.0)), 1.0 / (n + 1.0))
-        new = stack.with_array(rows), check_probs(grown, n + 1)
+        return Move(side_x, n, row, check_probs(grown, n + 1))
+    if n <= 1:
+        return None
+    idx = int(rng.integers(n))
+    kept = np.delete(probs, idx)
+    total = kept.sum()
+    if total <= 0:
+        return None
+    return Move(side_x, idx, None, check_probs(kept / total, n - 1))
+
+
+def _moved_rows(stack: AtomStack, move: Move) -> np.ndarray:
+    """The rows of ``stack``, the moved side, after ``move``."""
+    a = stack.array
+    if move.row is None:
+        return a if len(move.probs) == len(a) else np.delete(a, move.idx, axis=0)
+    if move.idx == len(a):
+        return np.concatenate([a, move.row[np.newaxis]])
+    rows = a.copy()
+    rows[move.idx] = move.row
+    return rows
+
+
+def _applied(state: State, move: Move) -> State:
+    """The state that ``move`` makes of ``state``; its rows were checked
+    when the move was drawn."""
+    xs, xp, ys, yp = state
+    stack = xs if move.side_x else ys
+    rows = _moved_rows(stack, move)
+    if rows is not stack.array:
+        stack = stack._sharing(rows)
+    return (stack, move.probs, ys, yp) if move.side_x else (xs, xp, stack, move.probs)
+
+
+def _price(spec: SearchSpec, state: State, m: Optional[np.ndarray],
+           move: Move) -> Tuple[Optional[float], float, Optional[np.ndarray]]:
+    """``_evaluate`` of the state that ``move`` makes of ``state``, bit for
+    bit, from ``state``'s joint matrix ``m`` and the move.
+
+    A perturbed or added row takes one kernel call against the new joint
+    rows, which gives its row and column of the new matrix (its own entry is
+    d(x, x)^p = 0); a removed row's row and column are deleted, and a
+    reweight keeps ``m`` as it is.  Every entry of a joint matrix depends on
+    its pair alone and is even in x - y, so the entries kept from ``m`` and
+    the new ones are those that a whole evaluation computes.  The mixture's
+    distances to the moved midpoint are one more column of the same call;
+    roundness reweights and removals make none.  A barycenter proposal is
+    evaluated whole.
+    """
+    if m is None:
+        return _evaluate(spec, _applied(state, move))
+    xs, xp, ys, yp = state
+    rows = _moved_rows(xs if move.side_x else ys, move)
+    if move.side_x:
+        xa, xp, ya = rows, move.probs, ys.array
     else:
-        if n <= 1:
-            return None
-        idx = int(rng.integers(n))
-        kept = np.delete(probs, idx)
-        total = kept.sum()
-        if total <= 0:
-            return None
-        rows = np.delete(stack.array, idx, axis=0)
-        new = stack.with_array(rows), check_probs(kept / total, n - 1)
-    return (*new, ys, yp) if side_x else (xs, xp, *new)
+        xa, ya, yp = xs.array, rows, move.probs
+    nx, n = len(xa), len(xa) + len(ya)
+    i = move.idx if move.side_x else nx + move.idx     # its joint position
+    if n > len(m):
+        keep = np.arange(n) != i
+        m_new = np.empty((n, n))
+        m_new[np.ix_(keep, keep)] = m
+    elif n < len(m):
+        keep = np.arange(len(m)) != i
+        m_new = m[np.ix_(keep, keep)]
+    else:
+        m_new = m if move.row is None else m.copy()
+    zcol = None
+    if spec.objective == "mixture":
+        cols = [_midpoint(_applied(state, move))]
+        if move.row is not None:
+            cols.insert(0, move.row[np.newaxis])
+        both = _pairwise(spec.space, np.concatenate([xa, ya]), np.concatenate(cols),
+                         xs.weights, spec.p)
+        new, zcol = both[:, 0], both[:, -1]
+    elif move.row is not None:
+        new = _pairwise(spec.space, move.row[np.newaxis], np.concatenate([xa, ya]),
+                        xs.weights, spec.p)[0]
+    if move.row is not None:
+        m_new[i] = new
+        m_new[:, i] = new
+    return (*_ratio(m_new, zcol, nx, xp, yp), m_new)
 
 
 # --------------------------------------------------------------------------
@@ -312,31 +423,32 @@ def run_search(spec: SearchSpec) -> SearchResult:
         rng = np.random.default_rng([spec.seed, restart])
         for _ in range(51):                 # a start and up to 50 redraws
             state = _initial_state(spec, restart, rng)
-            ratio, den = _evaluate(spec, state)
+            ratio, den, m = _evaluate(spec, state)
             if ratio is not None:
                 break
         else:
             continue
         norm = _normalized(state, den, spec.p)
         if norm is not None:
-            r_norm, _ = _evaluate(spec, norm)
+            r_norm, _, m_norm = _evaluate(spec, norm)
             if r_norm is not None and r_norm >= ratio:
-                state, ratio = norm, r_norm
+                state, ratio, m = norm, r_norm, m_norm
         trace: List[Tuple[int, float]] = [(0, ratio)]
         scale = 1.0
         for step in range(1, spec.budget + 1):
-            proposal = _propose(state, spec, rng, scale)
-            if proposal is None:
+            move = _propose(state, spec, rng, scale)
+            if move is None:
                 scale = max(scale * _SCALE_SHRINK, _SCALE_MIN)
                 continue
-            r_new, den = _evaluate(spec, proposal)
+            r_new, den, m_new = _price(spec, state, m, move)
             if r_new is not None and r_new > ratio:
+                proposal = _applied(state, move)
                 norm = _normalized(proposal, den, spec.p)
-                r_norm = None if norm is None else _evaluate(spec, norm)[0]
+                r_norm, _, m_norm = (None, None, None) if norm is None else _evaluate(spec, norm)
                 if r_norm is not None and r_norm > ratio:
-                    state, ratio = norm, r_norm
+                    state, ratio, m = norm, r_norm, m_norm
                 else:
-                    state, ratio = proposal, r_new
+                    state, ratio, m = proposal, r_new, m_new
                 trace.append((step, ratio))
                 scale = min(scale * _SCALE_GROW, _SCALE_MAX)
             else:

@@ -22,8 +22,9 @@ space kinds:
 The atoms of one distribution live in an :class:`AtomStack`, one array whose
 row values are checked there and nowhere else.  JSON atoms go straight into a
 stack and back (``stack_from_json``, ``stack_to_json``); ``stack_points``
-stacks point objects, checking only their type.  ``pairwise_powered`` runs one batched kernel per space kind
-on two stacks, and ``distance`` is its one-pair form.
+stacks point objects, checking only their type.  ``pairwise_powered`` runs
+one batched kernel per space kind on two stacks, through ``_pairwise`` on
+their checked arrays, and ``distance`` is its one-pair form.
 """
 
 from __future__ import annotations
@@ -440,7 +441,9 @@ def _lq_powered(absd: np.ndarray, w: np.ndarray, q: float, p: float) -> np.ndarr
     to zero while a weighted entry is nonzero) are recomputed scaled by their
     largest weighted entry: s^(p/q) multiplies the rounding of p/q by |ln s|.
     """
-    terms = absd ** q * w
+    terms = absd ** q
+    if w is not _unit_weights(w.size):      # x * 1.0 == x exactly
+        terms *= w
     s = terms.sum(axis=-1)
     out = s ** (p / q)
     # cheap gate: every nonzero row sum is in the band (nan is not) and no
@@ -476,31 +479,14 @@ def _parallelogram(c: np.ndarray):
 _BLOCK_ENTRIES = 2 ** 16
 
 
-@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
     """Matrix of d(x, y)^p over xs x ys.
 
     ``xs`` and ``ys`` are :class:`AtomStack` values or plain sequences of
-    points, which are checked and stacked first.  The exponent is fused into
-    a single power call per pair, so a Snowflake of exponent alpha delegates
-    to the base space with exponent alpha * p.  A Schatten-q norm is the l_q
-    norm of the singular values, so both kinds share one reduction: the pairs
-    whose sum of q-th powers overflows, or underflows to zero while the
-    points differ, are recomputed scaled by the pair's largest entry.
-    ParallelogramS1 pairs whose squared length leaves [1e-100, 1e100] are
-    likewise recomputed scaled by their largest |c_k|.  Numpy's float
-    warnings are off: a power that truly overflows is inf, which the ratios
-    report once.
-
-    The kernel runs over row blocks of ``xs`` whose temporaries hold at most
-    ``_BLOCK_ENTRIES`` entries; a product that fits in one block is one
-    call.  Every entry is computed per pair and reduced along its own last
-    axis, so the blocks do not change a bit of it.  When ``xs is ys`` only
-    the blocks on and above the diagonal are computed and the lower triangle
-    is the upper one transposed: x - y = -(y - x) exactly, and abs, the
-    parallelogram form and the graph metric are even in that sign.  Schatten
-    self pairs compute both triangles, since LAPACK does not promise that
-    svd(-A) is svd(A) bit for bit.
+    points, which are checked and stacked first; the matrix itself comes from
+    :func:`_pairwise` on the checked arrays.  The exponent is fused into a
+    single power call per pair, so a Snowflake of exponent alpha delegates
+    to the base space with exponent alpha * p.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive")
@@ -510,18 +496,46 @@ def pairwise_powered(space: Space, xs, ys, p: float) -> np.ndarray:
     xs = stack_points(space, xs)
     ys = xs if same else stack_points(space, ys)
     _check_compatible(xs, ys)
-    e, f = xs.array, ys.array
+    return _pairwise(space, xs.array, ys.array, xs.weights, p)
+
+
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def _pairwise(space: Space, e: np.ndarray, f: np.ndarray, w: Optional[np.ndarray],
+              p: float) -> np.ndarray:
+    """The matrix d(x, y)^p over the rows ``e`` x ``f`` of checked stacks on
+    the base kind ``space``, with the vector kinds' shared weights ``w``; the
+    one kernel path, which callers holding checked rows enter directly.
+
+    A Schatten-q norm is the l_q norm of the singular values, so both kinds
+    share one reduction: the pairs whose sum of q-th powers overflows, or
+    underflows to zero while the points differ, are recomputed scaled by the
+    pair's largest entry.  ParallelogramS1 pairs whose squared length leaves
+    [1e-100, 1e100] are likewise recomputed scaled by their largest |c_k|.
+    Numpy's float warnings are off: a power that truly overflows is inf,
+    which the ratios report once.
+
+    The kernel runs over row blocks of ``e`` whose temporaries hold at most
+    ``_BLOCK_ENTRIES`` entries; a product that fits in one block is one
+    call.  Every entry is computed per pair and reduced along its own last
+    axis, so the blocks do not change a bit of it, nor does the rest of the
+    call: an entry is the same in any call that holds its pair.  When
+    ``e is f`` only the blocks on and above the diagonal are computed and the
+    lower triangle is the upper one transposed: x - y = -(y - x) exactly, and
+    abs, the parallelogram form and the graph metric are even in that sign.
+    Schatten self pairs compute both triangles, since LAPACK does not promise
+    that svd(-A) is svd(A) bit for bit.
+    """
     n, m = len(e), len(f)
-    width = m * f[0].size           # block entries per row of xs
+    width = m * f[0].size           # block entries per row of e
     if n * width <= _BLOCK_ENTRIES:
-        return _powered(space, e, f, xs.weights, p)
+        return _powered(space, e, f, w, p)
     rows = max(1, _BLOCK_ENTRIES // width)
-    upper = same and not isinstance(space, Schatten)
+    upper = e is f and not isinstance(space, Schatten)
     out = np.empty((n, m))
     for a in range(0, n, rows):
         b = min(a + rows, n)
         lo = a if upper else 0
-        out[a:b, lo:] = _powered(space, e[a:b], f[lo:], xs.weights, p)
+        out[a:b, lo:] = _powered(space, e[a:b], f[lo:], w, p)
         if upper:
             out[b:, a:b] = out[a:b, b:].T
     return out

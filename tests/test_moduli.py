@@ -1127,9 +1127,10 @@ def test_metric_barycenter_golden_values(name, p):
     assert value == METRIC_BARYCENTER_GOLDEN[name, p]
 
 
-def test_metric_barycenter_on_a_huge_graph_costs_only_the_supports():
+def test_metric_barycenter_on_a_huge_graph_costs_only_the_supports(monkeypatch):
     # a vertex outside both supports is as far from every atom as any other
-    # one on its side, so only the first of them is a candidate
+    # one on its side, so only the first of them is a candidate, and one
+    # kernel call on the supports x the candidates prices them all
     def config(n):
         g = BipartiteGraph(n)
         x = FiniteDist(g, (GraphVertex("L", 0), GraphVertex("R", 2)), np.array([0.3, 0.7]))
@@ -1141,4 +1142,14 @@ def test_metric_barycenter_on_a_huge_graph_costs_only_the_supports():
     expected = (min(barycenter_objective(small, z) for z in everywhere)
                 / cross_moment(small.X, small.Y, small.p))
     assert metric_barycenter_ratio(small).value == expected
+    calls = []
+    kernel = moduli.pairwise_powered
+
+    def counted(space, xs, ys, p):
+        calls.append((len(xs), len(ys)))
+        return kernel(space, xs, ys, p)
+
+    monkeypatch.setattr(moduli, "pairwise_powered", counted)
+    monkeypatch.setattr(distributions, "pairwise_powered", counted)
     assert metric_barycenter_ratio(config(10 ** 15)).value == expected
+    assert calls == [(4, 6)]

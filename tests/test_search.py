@@ -12,7 +12,14 @@ from momentmoduli.constants import C_exponent
 from momentmoduli.distributions import Config, FiniteDist, cross_moment
 from momentmoduli.moduli import DegenerateRatioError
 from momentmoduli.search import SearchSpec, certify_ratio, run_search
-from momentmoduli.spaces import INF, AtomStack, ParallelogramS1, RealLine, WeightedLq
+from momentmoduli.spaces import (
+    INF,
+    AtomStack,
+    ParallelogramS1,
+    RealLine,
+    SpaceMismatchError,
+    WeightedLq,
+)
 
 
 def test_search_is_bitwise_reproducible():
@@ -133,9 +140,9 @@ def test_search_result_config_reverifies_from_json():
         r.best_ratio, rel=1e-12)
 
 
-# the ratio of record and the evaluator's kernel: a fault in either is not a
-# degenerate ratio and must not be skipped as one
-@pytest.mark.parametrize("name", ["roundness_ratio", "pairwise_powered"])
+# the ratio of record and the kernel, entered by the evaluator and by the
+# moves: a fault in any is not a degenerate ratio and must not be skipped as one
+@pytest.mark.parametrize("name", ["roundness_ratio", "pairwise_powered", "_pairwise"])
 def test_search_propagates_faults_other_than_degenerate_ratios(monkeypatch, name):
     def faulty(*args):
         raise ValueError("kernel fault")
@@ -246,29 +253,47 @@ def _priced_configs(draw):
         dim = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
-    def law():
-        n = draw(st.integers(1, 4))
+    def rows(n):
         if isinstance(space, RealLine):
             shape = (n,)
         else:
             shape = (n, dim)
         if integer:
-            rows = rng.integers(-1, 2, size=shape).astype(float)
+            a = rng.integers(-1, 2, size=shape).astype(float)
         else:
-            rows = rng.normal(size=shape)
+            a = rng.normal(size=shape)
         if not isinstance(space, RealLine):
-            rows = rows + 1j * (rng.integers(-1, 2, size=shape) if integer
-                                else rng.normal(size=shape))
-        return FiniteDist(space, AtomStack(space, rows * scale), rng.dirichlet(np.ones(n)))
+            a = a + 1j * (rng.integers(-1, 2, size=shape) if integer
+                          else rng.normal(size=shape))
+        return a * scale
 
-    return SearchSpec(space=space, objective=objective, p=p), law(), law()
+    def law():
+        n = draw(st.integers(1, 4))
+        return FiniteDist(space, AtomStack(space, rows(n)), rng.dirichlet(np.ones(n)))
+
+    x, y = law(), law()
+    # a move of each kind on either side, as ``search._propose`` draws them
+    side_x = draw(st.booleans())
+    n = len((x if side_x else y).atoms)
+    kind = draw(st.sampled_from(["perturb", "reweight", "add", "remove"][:4 if n > 1 else 3]))
+    if kind == "perturb":
+        move = search.Move(side_x, draw(st.integers(0, n - 1)), rows(1)[0],
+                           (x if side_x else y).probs)
+    elif kind == "add":
+        move = search.Move(side_x, n, rows(1)[0], rng.dirichlet(np.ones(n + 1)))
+    elif kind == "remove":
+        move = search.Move(side_x, draw(st.integers(0, n - 1)), None,
+                           rng.dirichlet(np.ones(n - 1)))
+    else:
+        move = search.Move(side_x, 0, None, rng.dirichlet(np.ones(n)))
+    return SearchSpec(space=space, objective=objective, p=p), x, y, move
 
 
 @settings(max_examples=400, deadline=None)
 @given(_priced_configs())
 def test_search_evaluator_matches_certify_ratio_bit_for_bit(case):
-    spec, x, y = case
-    value, den = search._evaluate(spec, (x.stack, x.probs, y.stack, y.probs))
+    spec, x, y, _ = case
+    value, den, _ = search._evaluate(spec, (x.stack, x.probs, y.stack, y.probs))
     config = Config(spec.space, x, y, spec.p)
     try:
         ref = certify_ratio(config, spec.objective)
@@ -280,6 +305,53 @@ def test_search_evaluator_matches_certify_ratio_bit_for_bit(case):
     assert repr(den) == repr(cross_moment(x, y, spec.p))
 
 
+@settings(max_examples=400, deadline=None)
+@given(_priced_configs())
+def test_a_move_is_priced_bit_for_bit_as_its_applied_state(case):
+    spec, x, y, move = case
+    state = (x.stack, x.probs, y.stack, y.probs)
+    value, den, m = search._price(spec, state, search._evaluate(spec, state)[2], move)
+    ref_value, ref_den, ref_m = search._evaluate(spec, search._applied(state, move))
+    assert repr(value) == repr(ref_value)
+    assert repr(den) == repr(ref_den)
+    assert m.tobytes() == np.ascontiguousarray(ref_m).tobytes()
+
+
+def test_roundness_reweights_and_removals_make_no_kernel_call(monkeypatch):
+    rng = np.random.default_rng(8)
+    space = WeightedLq(3.0)
+    xs, ys = (AtomStack(space, rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+              for _ in range(2))
+    state = (xs, np.full(3, 1 / 3), ys, np.array([0.2, 0.3, 0.5]))
+    spec = SearchSpec(space=space, objective="roundness", p=1.5)
+    m = search._evaluate(spec, state)[2]
+    moves = [search.Move(True, 0, None, np.array([0.5, 0.25, 0.25])),
+             search.Move(False, 1, None, np.array([0.4, 0.6]))]
+    expected = [search._evaluate(spec, search._applied(state, move))[:2] for move in moves]
+
+    def kernel(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(search, "_pairwise", kernel)
+    monkeypatch.setattr(search, "pairwise_powered", kernel)
+    for move, ref in zip(moves, expected):
+        assert search._price(spec, state, m, move)[:2] == ref
+
+
+@pytest.mark.parametrize("space,error,message", [
+    (RealLine(), SpaceMismatchError, "RealLine points must be finite"),
+    (WeightedLq(2.0), ValueError, "CVector entries must be finite"),
+], ids=["realline", "lq2"])
+def test_a_non_finite_perturbed_row_raises_as_a_stack_row(monkeypatch, space, error, message):
+    def overflowed(stack, idx, rng, scale):
+        return np.full_like(stack.array[idx], np.inf)
+
+    monkeypatch.setattr(search, "_perturbed_row", overflowed)
+    spec = SearchSpec(space=space, objective="roundness", p=1.0, budget=10, seed=0)
+    with pytest.raises(error, match=message):
+        run_search(spec)
+
+
 # a distance of 1e300 to the power 1.5 overflows
 @pytest.mark.parametrize("objective", search.OBJECTIVES)
 def test_search_evaluator_rejects_moments_out_of_the_float_range(objective):
@@ -287,7 +359,7 @@ def test_search_evaluator_rejects_moments_out_of_the_float_range(objective):
     x = FiniteDist(space, AtomStack(space, np.array([0.0, 1.0])), np.array([0.5, 0.5]))
     y = FiniteDist(space, AtomStack(space, np.array([1e300])), np.array([1.0]))
     spec = SearchSpec(space=space, objective=objective, p=1.5)
-    assert search._evaluate(spec, (x.stack, x.probs, y.stack, y.probs)) == (None, math.inf)
+    assert search._evaluate(spec, (x.stack, x.probs, y.stack, y.probs))[:2] == (None, math.inf)
     with pytest.raises(OverflowError, match="not finite"):
         certify_ratio(Config(space, x, y, spec.p), objective)
 
