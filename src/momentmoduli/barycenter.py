@@ -33,7 +33,16 @@ is subtracted, which includes the rounding left in sum_i c_i y_i times a
 bound on the distance from z to a minimizer, so that the bound holds for the
 exact infimum.
 
-Euclidean problems.  On weighted l_2 or the real line (with ``zero_sum``
+Stages.  Each iterative method is a generator of (objective, iterate)
+pairs, one per step, and one loop runs every stage: it keeps the least value
+of each row the stage iterates and its point, takes the bound on the
+stage's cadence and ends the stage on the gap, on a stall (no 1e-12 relative
+progress of the rows' least value in a stage's window of steps) or at its
+step limit.  The bound is taken at every start first, and it moves no
+iterate.  The solve stops (``stop`` "gap") as soon as the least value of all
+rows is within a relative ``_GAP_TARGET`` of the best bound.
+
+Majorize-minimize.  On weighted l_2 or the real line (with ``zero_sum``
 only when all weights are equal, the rule of the mixture-mean closed form)
 at 1 <= p < 2, d^p = (d^2)^(p/2) is concave in d^2, so
 sum_i c_i d_i^(p-2) ||z - a_i||^2 majorizes f up to a constant and a factor
@@ -43,19 +52,18 @@ around the current point.  Its minimizer, the generalized Weiszfeld step
 
 (projected under ``zero_sum``), lowers f at every step and converges
 linearly off the atoms (Weiszfeld, Tohoku Math. J. 1937).  It is iterated
-from one start only: the start of least objective that lies off every atom,
-as one more row labelled like that start.  The bound is taken at the iterate
-itself, not at the point of least float value: f - f* is second order in the
-distance to the minimizer and the bound only first order, so f reaches its
-float floor while the bound at the best point stays loose.  The step is not
-defined on an atom; if an iterate lands on one, stalls (no 1e-12 relative
-progress in ``_STALL_WINDOW`` steps) or takes ``max_iters_per_start`` steps
-without the gap, the quasi-Newton stage below runs next.  That happens near
-p = 1, where a minimizer close to an atom takes the rate of the step
-towards 1.
+from the start of least objective off every atom, as one more row labelled
+like that start.  The bound is taken every ``_BOUND_EVERY`` steps at the
+iterate itself, not at the point of least float value: f - f* is second
+order in the distance to the minimizer and the bound only first order, so f
+reaches its float floor while the bound at the best point stays loose.  The
+step is not defined on an atom: the stage ends after an iterate on one,
+after more than ``_STALL_WINDOW`` steps without progress or after
+``max_iters_per_start`` steps.  That happens near p = 1, where a minimizer
+close to an atom takes the rate of the step towards 1.
 
-Quasi-Newton stage.  Where the gap is still open, limited-memory BFGS (Liu
-& Nocedal, Math. Prog. 1989) runs from the row of least value, as one more
+Quasi-Newton.  Where the gap is still open, limited-memory BFGS (Liu &
+Nocedal, Math. Prog. 1989) runs from the row of least value, as one more
 row labelled like that row.  Its iterate is the real vector of the real and
 imaginary parts of the flattened entries; the direction comes from the
 two-loop recursion over the last ``_QN_MEMORY`` pairs of positive curvature,
@@ -63,33 +71,32 @@ the first one from the Polyak step to the best bound, and the step length
 from Armijo backtracking by halving.  Every trial point and subgradient is
 projected under ``zero_sum``, so that rounding cannot carry the iterate off
 the hyperplane, where its value could fall below the constrained bound.  The
-steps never raise the value, so the bound is taken at the iterate, every
-``_QN_BOUND_EVERY`` steps and where the stage ends.  The stage ends on the
-gap, when a trial step falls below the unit roundoff of the iterate's norm,
-after ``_QN_STALL`` steps without 1e-12 relative progress, or after
-``max_iters_per_start`` steps.  The method is made for smooth objectives and
-still makes progress at kinks (Lewis & Overton, Math. Prog. 2013), but where
-the minimizer sits on a kink of the norm its bound stays open.
+steps never raise the value, so the bound is taken at the iterate every
+``_QN_BOUND_EVERY`` steps, and once more at the row's best point where the
+stage ends off that cadence.  The stage ends on the gap, when a trial step
+falls below the unit roundoff of the iterate's norm, after ``_QN_STALL``
+steps without progress, or after ``max_iters_per_start`` steps.  The method
+is made for smooth objectives and still makes progress at kinks (Lewis &
+Overton, Math. Prog. 2013), but where the minimizer sits on a kink of the
+norm its bound stays open.
 
-Stop rule.  The bound is taken at every start, then as above in the two
-stages, and every ``_BOUND_EVERY`` iterations of the subgradient loop at the
-best point of the rows it iterates.  The solve stops (``stop`` "gap") as
-soon as the least objective value is within a relative ``_GAP_TARGET`` of
-the best bound.  The subgradient loop, the fallback, iterates only the rows
-that existed before the quasi-Newton stage (every start and the
-majorize-minimize row) and measures its progress on them alone, and the
-bound moves no iterate, so a loop that never reaches the gap takes exactly
-the steps it would take without the stage and the bound; the value of record
-is the least over all rows, never above the loop's own.  The loop
-runs the step schedule s_k = s0 / sqrt(k), with s0 the diameter of the
+Subgradient fallback.  It iterates only the rows that existed before the
+quasi-Newton stage (every start and the majorize-minimize row), measures its
+progress on them alone and takes the bound every ``_BOUND_EVERY`` steps at
+their best point, the steps counted from the first majorize-minimize step
+and leaving out the quasi-Newton ones; so a fallback that never reaches the
+gap takes exactly the steps it would take without that stage and the bound,
+and the value of record is the least over all rows, never above its own.
+It runs the step schedule s_k = s0 / sqrt(k), with s0 the diameter of the
 support, applied to the normalized subgradient direction, in three
-warm-restarted stages with geometrically shrinking s0 (1, 1/30, 1/900 of the
-diameter) inside the per-start iteration budget; late-stage oscillation of
-the plain schedule otherwise stalls around 1e-4 relative.  A stage ends after
-``_STALL_WINDOW`` steps without 1e-12 relative progress or at its share of
-the budget, and ``stop`` is "stall" or "cap" after the last stage.  Runs are
-deterministic and the multi-start reduction is an index-tie-broken min,
-independent of execution order.
+warm-restarted stages from the rows' best points with geometrically
+shrinking s0 (1, 1/30, 1/900 of the diameter) inside the per-start
+iteration budget; late-stage oscillation of the plain schedule otherwise
+stalls around 1e-4 relative.  A stage ends after more than
+``_STALL_WINDOW`` steps without progress or at its share of the budget, and
+``stop`` is "stall" or "cap" after the last stage.  Runs are deterministic
+and the multi-start reduction is an index-tie-broken min, independent of
+execution order.
 
 Two cases separate across coordinates into problems with a known minimizer
 and take no step (``iterations`` 0, ``stop`` "closed_form", no diameter
@@ -103,6 +110,11 @@ computed):
   more start labelled ``"median"``.
 
 Every start is still evaluated and the same tie-broken min is taken.
+
+Units.  Atoms whose largest part leaves [2^-200, 2^200] are solved times
+``scale``, a power of two.  Every lower end, iterative or closed-form, is
+found in the solver's units and taken back on one path, rounded down: times
+scale^(floor(p) - p), a normal float, and the exact power scale^-floor(p).
 
 Every certificate carries ``value``, the exact objective at ``z_star`` and
 the value of record; ``lower``, a certified lower bound on the infimum, at
@@ -247,10 +259,11 @@ class _Problem:
         self._real_line = isinstance(config.space, RealLine)
         self.shape = both.shape[1:]
         top = max(float(np.abs(both.real).max()), float(np.abs(both.imag).max()))
-        self.scale = 1.0
+        self.shift = 0              # scale = 2^-shift
         if top > 0.0 and not 2.0 ** -200 <= top <= 2.0 ** 200:
             # the exponent is clamped so that the factor is a normal float
-            self.scale = 2.0 ** -min(max(math.frexp(top)[1], -1000), 1000)
+            self.shift = min(max(math.frexp(top)[1], -1000), 1000)
+        self.scale = 2.0 ** -self.shift
         self.atoms = self.flat(both)                           # (A, k)
         self.coeffs = np.concatenate([config.X.probs, config.Y.probs])
         self.p = config.p
@@ -268,6 +281,18 @@ class _Problem:
         if self.scale != 1.0:
             rows = rows / self.scale
         return rows.real if self._real_line else rows
+
+    def unscale(self, lower: float) -> float:
+        """A lower bound in the solver's units, in the original ones and
+        rounded down: times scale^-p as scale^(floor(p) - p), a normal float,
+        times the exact power 2^(shift floor(p)), so that it leaves the float
+        range only where the bound does."""
+        if self.shift == 0:
+            return lower
+        whole = math.floor(self.p)
+        with np.errstate(over="ignore", under="ignore"):
+            lower = float(np.ldexp(lower * self.scale ** (whole - self.p), self.shift * whole))
+        return lower - 4.0 * _UNIT_ROUNDOFF * abs(lower) if math.isfinite(lower) else lower
 
     def project(self, z: np.ndarray) -> np.ndarray:
         if self.zero_sum:
@@ -382,11 +407,14 @@ class _LqProblem(_Problem):
         return None
 
     def closed_form_lower(self, closed: str, value: float) -> float:
-        """``value`` less the rounding allowance of a closed-form solve: four
-        times the rounding bound of one objective evaluation, which also
-        covers a tie-broken pick of another start, and for the mixture mean
-        the excess C ||z - z*||_w^2 of the quadratic objective at the rounded
-        mean (C the total mass).  The median is an exact minimizer."""
+        """``value``, in the original units, less the rounding allowance of a
+        closed-form solve, in the solver's units (p is 1 or 2, so the value
+        scales exactly): four times the rounding bound of one objective
+        evaluation, which also covers a tie-broken pick of another start, and
+        for the mixture mean the excess C ||z - z*||_w^2 of the quadratic
+        objective at the rounded mean (C the total mass).  The median is an
+        exact minimizer."""
+        value = math.ldexp(value, -self.shift * int(self.p))
         n_atoms, k = self.atoms.shape
         out = value - _gamma(4 * (self.p * (k + 4) + n_atoms + 4)) * value
         if closed == "mean":
@@ -395,7 +423,7 @@ class _LqProblem(_Problem):
             if self.zero_sum:
                 m = m + m.max()
             off = _gamma(n_atoms + k + 8) * m
-            out -= total * float(self.weights @ off ** 2) / self.scale ** 2
+            out -= total * float(self.weights @ off ** 2)
         return float(out)
 
     def _terms(self, z: np.ndarray):
@@ -530,6 +558,18 @@ def _support_diameter(space: Space, joint: AtomStack) -> float:
     return float(pairwise_powered(space, joint, joint, 1.0).max())
 
 
+def _majorize_steps(problem: _LqProblem, z: np.ndarray):
+    """Majorize-minimize steps from the one-row iterate ``z``, yielding the
+    objective at each iterate and the iterate; it ends after an iterate on
+    an atom, where the step is not defined."""
+    while True:
+        f, step, on_atom = problem.majorize(z)
+        yield f, z
+        if on_atom[0]:
+            return
+        z = step
+
+
 def _quasi_newton_steps(problem: _Problem, z: np.ndarray, lower: float):
     """Limited-memory BFGS steps from the one-row iterate ``z``, yielding the
     objective and the iterate after each step.
@@ -592,6 +632,18 @@ def _quasi_newton_steps(problem: _Problem, z: np.ndarray, lower: float):
         yield f, z_t
 
 
+def _subgradient_steps(problem: _Problem, z: np.ndarray, s0: float):
+    """Projected subgradient steps from the rows of ``z``, step k of length
+    s0 / sqrt(k) along each row's normalized subgradient, yielding the
+    objective at each row and the rows before each step."""
+    for k in itertools.count(1):
+        f, g = problem.value_and_subgrad(z)
+        yield f, z
+        gn = np.sqrt((np.abs(g) ** 2).sum(axis=-1))
+        safe = np.where(gn > 0, gn, 1.0)
+        z = problem.project(z - s0 / math.sqrt(k) * (g / safe[:, None]))
+
+
 # zero distances divide by zero in the subgradients; those entries are masked
 @np.errstate(divide="ignore", invalid="ignore")
 def minimize_barycenter(config: Config,
@@ -605,30 +657,15 @@ def minimize_barycenter(config: Config,
     ``config.zero_sum`` restricts iterates to the hyperplane of zero entry
     sum (Euclidean projection).
 
-    A dual lower bound is taken at every start; the solve stops (``stop``
-    "gap") once the least objective value is within a relative
-    ``_GAP_TARGET`` of the best bound.  Euclidean problems at 1 <= p < 2
-    (weighted l_2 or the real line, with ``zero_sum`` only for equal
-    weights) then take the majorize-minimize step of the module docstring
-    from the best start off every atom, with the bound every
-    ``_BOUND_EVERY`` steps at the iterate; the best point is one more row,
-    and ``best_start`` names the start it came from.  If that ends without
-    the gap (an iterate on an atom, a stall or ``max_iters_per_start``
-    steps), and for every other problem, limited-memory BFGS runs from the
-    row of least value, as one more row labelled like it, with the bound
-    every ``_QN_BOUND_EVERY`` steps and at its end at the iterate.  It ends
-    on the gap, on a trial step below the unit roundoff of the iterate's
-    norm, after ``_QN_STALL`` steps without 1e-12 relative progress, or
-    after ``max_iters_per_start`` steps.  If the gap is still open,
-    multi-start projected subgradient descent runs from every row that
-    existed before that stage, with the bound every ``_BOUND_EVERY``
-    iterations at the best of those rows.  Each of its three stages ends on
-    a stall of those rows (no 1e-12 relative progress in ``_STALL_WINDOW``
-    steps) or at its share of ``max_iters_per_start``, and ``stop`` is
-    "stall" or "cap" after the last one.  So ``max_iters_per_start`` bounds
-    the steps of each of the three loops, and ``iterations`` counts the
-    steps of all three.  The bound moves no iterate; the support diameter
-    is computed only if the subgradient loop runs.
+    The stages of the module docstring follow, each new row labelled like
+    the row it starts from: a dual lower bound at every start,
+    majorize-minimize steps on Euclidean problems at 1 <= p < 2,
+    limited-memory BFGS, and projected subgradient descent with the support
+    diameter, computed only then.  ``max_iters_per_start`` bounds the steps
+    of each of the first two and of the three subgradient stages together;
+    ``iterations`` counts them all.  The solve stops on a certified relative
+    gap of ``_GAP_TARGET`` (``stop`` "gap"), else ``stop`` is "stall" or
+    "cap" after the last subgradient stage.
 
     When the minimizer has a closed form (p = q = 2: the mixture mean; p = 1
     with real atoms on the real line or l_1 without ``zero_sum``: the
@@ -664,123 +701,86 @@ def minimize_barycenter(config: Config,
     n_starts = z.shape[0]
 
     f0, _ = problem.value_and_subgrad(z)
-    f_best = f0.copy()
-    z_best = z.copy()
-    g_best = float(f_best.min())
-    last_progress = 0
-
-    def bound_closes(rows: np.ndarray) -> bool:
-        """Raise ``lower`` to the best bound from ``rows``; whether the gap
-        is now closed."""
-        nonlocal lower
-        lower = max(lower, float(problem.lower_bound(rows, g_best).max()))
-        return g_best - lower <= _GAP_TARGET * g_best
-
-    def record(k: int, f: np.ndarray, z_cur: np.ndarray, rows=slice(None)) -> None:
-        """Keep the least value of each row of ``rows`` and its point, and
-        the step ``k`` of the last 1e-12 relative progress of their least."""
-        nonlocal g_best, last_progress
-        mine = f_best[rows]
-        before = float(mine.min())
-        improved = f < mine
-        if improved.any():
-            mine[improved] = f[improved]
-            z_best[rows][improved] = z_cur[improved]
-        after = float(mine.min())
-        if after < before - 1e-12 * abs(before):
-            last_progress = k
-        g_best = min(g_best, after)
-
-    iterations = 0
+    f_best, z_best = f0.copy(), z.copy()      # each row's least value and its point
     lower = -math.inf
-    stop = "closed_form" if closed else None
-    if stop is None and bound_closes(z):
-        stop = "gap"
-    if stop is None and euclidean:
-        # majorize-minimize from the best start off every atom, as one more
-        # row; the bound is taken at the iterate, which converges to the
-        # minimizer while the float value of f has long reached its floor
-        _, _, on_atom = problem.majorize(z)
-        if not on_atom.all():
-            row = int(np.argmin(np.where(on_atom, INF, f0)))
-            labels.append(labels[row])
-            f_best = np.append(f_best, f0[row])
-            z_best = np.concatenate([z_best, z[row:row + 1]])
-            z_cur = z[row:row + 1]
-            for k in range(1, max_iters_per_start + 1):
-                f, z_next, on_atom = problem.majorize(z_cur)
-                record(k, f, z_cur, slice(-1, None))
-                iterations += 1
-                if iterations % _BOUND_EVERY == 0 and bound_closes(z_cur):
-                    stop = "gap"
-                    break
-                if on_atom[0] or k - last_progress > _STALL_WINDOW:
-                    break
-                z_cur = z_next
-    n_rows = len(f_best)        # the rows that the subgradient loop iterates
-    qn_steps = 0
-    if stop is None:
-        # quasi-Newton from the row of least value, as one more row; its
-        # steps never raise the value, so the bound is taken at the iterate
-        row = int(np.argmin(f_best))
+
+    def fork(row: int) -> np.ndarray:
+        """A copy of row ``row``, appended as one more row labelled like it."""
+        nonlocal f_best, z_best
         labels.append(labels[row])
         f_best = np.append(f_best, f_best[row])
         z_best = np.concatenate([z_best, z_best[row:row + 1]])
-        last_progress = 0
-        steps = _quasi_newton_steps(problem, z_best[row:row + 1], lower)
-        for k, (f, z_cur) in enumerate(itertools.islice(steps, max_iters_per_start), 1):
-            record(k, f, z_cur, slice(-1, None))
-            qn_steps = k
-            if k % _QN_BOUND_EVERY == 0 and bound_closes(z_cur):
-                stop = "gap"
-                break
-            if k - last_progress >= _QN_STALL:
-                break
-        if stop is None and qn_steps % _QN_BOUND_EVERY and bound_closes(z_best[-1:]):
-            stop = "gap"
-    if stop is None:
-        diam = _support_diameter(config.space, joint) * problem.scale
-        stop = "stall"          # a one-point support takes no step
-        z_cur = z_best[:n_rows].copy()
-        for frac, fac in _STAGES if diam > 0.0 else ():
-            k_max = max(1, int(frac * max_iters_per_start))
-            s0 = diam * fac
-            last_progress = 0
-            stop = "cap"
-            for k in range(1, k_max + 1):
-                f, g = problem.value_and_subgrad(z_cur)
-                record(k, f, z_cur, slice(n_rows))
-                iterations += 1
-                if iterations % _BOUND_EVERY == 0:
-                    best = int(np.argmin(f_best[:n_rows]))
-                    if bound_closes(z_best[best:best + 1]):
-                        stop = "gap"
-                        break
-                if k - last_progress > _STALL_WINDOW:
-                    stop = "stall"
+        return z_best[-1:].copy()
+
+    def descend(steps, rows: slice, limit: int, every: int, patience: int,
+                taken: int = 0, at_best: bool = False) -> Tuple[str, int]:
+        """Run at most ``limit`` of the (objective, iterate) pairs of ``steps``
+        on the rows ``rows``, keeping each row's least value and its point.
+        The bound is taken where ``taken`` plus the steps run is a multiple
+        of ``every``, at the iterate or (``at_best``) at the best of the
+        rows.  Returns "gap", "stall" (more than ``patience`` steps without
+        1e-12 relative progress of the rows' least value) or "cap", and the
+        steps run."""
+        nonlocal lower
+        f_rows, z_rows = f_best[rows], z_best[rows]
+        before, last, k = float(f_rows.min()), 0, 0
+        for k, (f, z_cur) in enumerate(itertools.islice(steps, limit), 1):
+            improved = f < f_rows
+            f_rows[improved] = f[improved]
+            z_rows[improved] = z_cur[improved]
+            after = float(f_rows.min())
+            if after < before - 1e-12 * abs(before):
+                last = k
+            before = after
+            if (taken + k) % every == 0:
+                upper = float(f_best.min())
+                at = z_rows[[np.argmin(f_rows)]] if at_best else z_cur
+                lower = max(lower, float(problem.lower_bound(at, upper).max()))
+                if upper - lower <= _GAP_TARGET * upper:
+                    return "gap", k
+            if k - last > patience:
+                return "stall", k
+        return "cap", k
+
+    iterations = qn_steps = 0
+    stop = "closed_form"
+    if not closed:
+        # the bound at every start, as a stage of one step
+        stop, _ = descend([(f0, z)], slice(None), 1, 1, 0)
+        if stop != "gap" and euclidean:
+            _, _, on_atom = problem.majorize(z)
+            if not on_atom.all():
+                start = fork(int(np.argmin(np.where(on_atom, INF, f0))))
+                stop, iterations = descend(_majorize_steps(problem, start), slice(-1, None),
+                                           max_iters_per_start, _BOUND_EVERY, _STALL_WINDOW)
+        n_rows = len(f_best)        # the rows that the subgradient fallback iterates
+        if stop != "gap":
+            start = fork(int(np.argmin(f_best)))
+            stop, qn_steps = descend(_quasi_newton_steps(problem, start, lower),
+                                     slice(-1, None), max_iters_per_start, _QN_BOUND_EVERY,
+                                     _QN_STALL - 1)
+            if stop != "gap" and qn_steps % _QN_BOUND_EVERY:
+                # where the stage ends off its cadence, at the row's best point
+                stop, _ = descend([(f_best[-1:], z_best[-1:])], slice(-1, None), 1, 1, 0)
+        if stop != "gap":
+            diam = _support_diameter(config.space, joint) * problem.scale
+            stop = "stall"          # a one-point support takes no step
+            for frac, fac in _STAGES if diam > 0.0 else ():
+                # warm-restarted from the rows' best points; the bound's cadence
+                # counts the majorize-minimize steps and the earlier stages
+                steps = _subgradient_steps(problem, z_best[:n_rows].copy(), diam * fac)
+                stop, k = descend(steps, slice(n_rows), max(1, int(frac * max_iters_per_start)),
+                                  _BOUND_EVERY, _STALL_WINDOW, taken=iterations, at_best=True)
+                iterations += k
+                if stop == "gap":
                     break
-                gn = np.sqrt((np.abs(g) ** 2).sum(axis=-1))
-                step = s0 / math.sqrt(k)
-                safe = np.where(gn > 0, gn, 1.0)
-                z_cur = problem.project(z_cur - step * (g / safe[:, None]))
-            if stop == "gap":
-                break
-            z_cur = z_best[:n_rows].copy()
 
     best_idx = int(np.argmin(f_best))
     z_star = config.X.stack.with_array(problem.rows(z_best[best_idx:best_idx + 1]))
     value = barycenter_objective(config, z_star)
     if closed:
         lower = problem.closed_form_lower(closed, value)
-    elif problem.scale != 1.0:
-        # back to the original units, rounded down
-        with np.errstate(over="ignore", under="ignore"):
-            lower = float(np.float64(lower) * np.float64(problem.scale) ** -config.p)
-        if math.isnan(lower):
-            lower = -math.inf
-        elif math.isfinite(lower):
-            lower -= 4.0 * _UNIT_ROUNDOFF * abs(lower)
-    lower = min(lower, value)
+    lower = min(problem.unscale(lower), value)
     return BarycenterCert(
         z_star=z_star.points()[0],
         value=value,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +69,23 @@ def test_ratio_roundtrip(capsys, tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0].keys() == {"name", "p", "q", "space", "value", "bound",
                               "slack"}
+
+
+def test_ratio_of_tiny_weighted_atoms_certifies_its_closed_form(capsys, tmp_path):
+    # the moments are about 1e-220, normal floats, but the solver works with
+    # the atoms times 2^530, whose square left the float range in the
+    # closed form's rounding allowance
+    law = {"probs": [0.5, 0.5], "weights": [1e100]}
+    config = {"space": {"kind": "weighted_lq", "q": 2},
+              "X": {**law, "atoms": [[[0, 0]], [[1e-160, 0]]]},
+              "Y": {**law, "atoms": [[[3e-160, 0]]], "probs": [1.0]}, "p": 2}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(["ratio", "--config", str(path)], capsys)
+    assert (code, err) == (0, "")
+    info = next(r for r in json.loads(out) if r["name"] == "Barycenter")["solver_info"]
+    assert info["stop"] == "closed_form"
+    assert math.isfinite(info["lower"]) and info["lower"] <= info["value"]
 
 
 def test_ratio_malformed_json_exits_2(capsys, tmp_path):

@@ -666,6 +666,14 @@ def _real_line_config(xs, xp, ys, yp, p):
                   FiniteDist(RL, AtomStack(RL, ys), np.array(yp)), p)
 
 
+def _real_line_on_atom_config():
+    """p = 1.01 with a minimizer that hugs an atom: the majorize-minimize
+    iterate lands on the atom, then the quasi-Newton stage and the
+    subgradient fallback run."""
+    return _real_line_config([0.0, 1.0, 2.0], [0.45, 0.3, 0.25], [0.0, -1.5], [0.45, 0.55],
+                             1.01)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cfg", [
     # the "zero" start lies on an atom
@@ -673,7 +681,7 @@ def _real_line_config(xs, xp, ys, yp, p):
     # p = 1.01, minimizers that hug an atom: the majorize-minimize iterate
     # lands on the atom in the first and stalls in the second, so the
     # subgradient loop runs after it
-    _real_line_config([0.0, 1.0, 2.0], [0.45, 0.3, 0.25], [0.0, -1.5], [0.45, 0.55], 1.01),
+    _real_line_on_atom_config(),
     _real_line_config([0.0, 1.0], [0.55, 0.45], [0.3, -0.7], [0.5, 0.5], 1.01),
 ], ids=["eps-atom", "real-line-on-atom", "real-line-near-atom"])
 def test_euclidean_solves_at_and_near_atoms_stay_finite_and_below_every_start(cfg):
@@ -682,6 +690,15 @@ def test_euclidean_solves_at_and_near_atoms_stay_finite_and_below_every_start(cf
     assert math.isfinite(cert.value) and math.isfinite(cert.lower)
     assert cert.lower <= cert.value
     assert all(cert.value <= barycenter_objective(cfg, z) for z in starts)
+
+
+def test_solve_through_all_three_stages_is_pinned_bit_for_bit():
+    # the one deterministic input that runs majorize-minimize, quasi-Newton
+    # and the fallback, whose bound cadence counts the majorize-minimize
+    # steps but not the quasi-Newton ones
+    cert = minimize_barycenter(_real_line_on_atom_config())
+    assert (cert.value, cert.lower, cert.stop, cert.iterations, cert.best_start, cert.z_star) \
+        == (1.6318296529257963, 1.631824633365955, "stall", 1283, "atom:0", 0.0)
 
 
 # ---------------------------------------------------------------- metric barycenter

@@ -29,6 +29,7 @@ from momentmoduli.moduli import (
 )
 from momentmoduli.spaces import (
     INF,
+    AtomStack,
     BipartiteGraph,
     GraphVertex,
     ParallelogramS1,
@@ -116,6 +117,46 @@ def test_barycenter_ratio_is_symmetric_in_x_and_y_within_its_certified_interval(
     a, b = (r.solver_info for r in reports)
     assert a.lower <= b.value and b.lower <= a.value
     assert _close(cross_moment(cfg.X, cfg.Y, p), cross_moment(cfg.Y, cfg.X, p))
+
+
+def _translated(dist: FiniteDist, shift) -> FiniteDist:
+    return FiniteDist(dist.space, dist.stack.with_array(dist.stack.array + shift), dist.probs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([s for s in SPACES if is_linear(s)]), st.integers(0, 2 ** 31 - 1),
+       st.integers(1, 4), st.integers(1, 4), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_ratios_are_invariant_under_translation(space, seed, nx, ny, p):
+    # both laws shifted by one vector of size about 3: distances move only by
+    # the rounding of the shift, so the certified intervals of the two
+    # barycenter solves overlap up to it
+    cfg = _config(space, seed, nx, ny, p)
+    rng = np.random.default_rng(seed + 2)
+    shape = cfg.X.stack.array.shape[1:]
+    shift = 3.0 * rng.normal(size=shape)
+    if shape and not isinstance(space, RealLine):
+        shift = shift + 3j * rng.normal(size=shape)
+    moved = Config(space, _translated(cfg.X, shift), _translated(cfg.Y, shift), p)
+    for fn in (roundness_ratio, mixture_ratio):
+        assert _close(_value(fn, cfg), _value(fn, moved))
+    a, b = (moduli.minimize_barycenter(c, max_iters_per_start=400) for c in (cfg, moved))
+    assert a.lower <= b.value * (1.0 + 1e-12) and b.lower <= a.value * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+@pytest.mark.parametrize("space", [WeightedLq(3.0), WeightedLq(INF)], ids=str)
+def test_barycenter_certificate_of_laws_far_from_the_origin_keeps_its_gap(space, seed):
+    # laws of spread 1e99 about 1e110, at p = 3: the solver's scale to
+    # 2^-366 or so made the factor back to the original units, 2^(366 p),
+    # overflow, and a solve that stalled reported lower == value
+    rng = np.random.default_rng(seed)
+    xs, ys = (1e110 + 1e99 * rng.normal(size=(n, 2)) for n in (3, 2))
+    cfg = Config(space, FiniteDist(space, AtomStack(space, xs), np.full(3, 1.0 / 3.0)),
+                 FiniteDist(space, AtomStack(space, ys), np.full(2, 0.5)), 3.0)
+    cert = moduli.minimize_barycenter(cfg)
+    assert math.isfinite(cert.lower) and cert.lower <= cert.value
+    if cert.stop in ("stall", "cap"):
+        assert cert.lower < cert.value
 
 
 @settings(max_examples=60, deadline=None)
