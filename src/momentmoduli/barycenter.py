@@ -119,7 +119,9 @@ scale^(floor(p) - p), a normal float, and the exact power scale^-floor(p).
 Every certificate carries ``value``, the exact objective at ``z_star`` and
 the value of record; ``lower``, a certified lower bound on the infimum, at
 most ``value`` (for a closed form, the value less its rounding allowance);
-``gap`` = value - lower; and ``stop``.
+``gap`` = value - lower; and ``stop``.  A ``value`` that leaves the float
+range in the original units raises an ``OverflowError``, as a ratio's
+moments do: no certificate is reported for it.
 """
 
 from __future__ import annotations
@@ -674,6 +676,9 @@ def minimize_barycenter(config: Config,
     included), ``best_start`` labels the start of least objective, which
     is the minimizer up to rounding, ``stop`` is "closed_form" and
     ``lower`` is the value less its rounding allowance.
+
+    A ``value`` that is not finite in the original units raises an
+    ``OverflowError``.
     """
     if config.p < 1.0:
         raise ValueError("minimize_barycenter requires p >= 1; use "
@@ -778,6 +783,8 @@ def minimize_barycenter(config: Config,
     best_idx = int(np.argmin(f_best))
     z_star = config.X.stack.with_array(problem.rows(z_best[best_idx:best_idx + 1]))
     value = barycenter_objective(config, z_star)
+    if not math.isfinite(value):
+        raise OverflowError(f"Barycenter objective is not finite (value={value})")
     if closed:
         lower = problem.closed_form_lower(closed, value)
     lower = min(problem.unscale(lower), value)
@@ -788,6 +795,6 @@ def minimize_barycenter(config: Config,
         starts=n_starts,
         best_start=labels[best_idx],
         lower=lower,
-        gap=0.0 if lower == value else value - lower,    # inf == inf on overflow
+        gap=value - lower,
         stop=stop,
     )

@@ -527,16 +527,13 @@ def _seeded_config(space, p, seed, weights=None, zero_sum=False, complex_atoms=T
 @example((_seeded_config(RL, 1.9, 6, zero_sum=True), 0))
 @example((_seeded_config(WeightedLq(2.0), 1.5, 7, np.array([1.0, 0.0, 3.0]),
                          zero_sum=True), 0))
+# the real line at p = 3 times 2^498, whose objective leaves the float range
+@example((_seeded_config(RL, 3.0, 9), 498))
 @settings(max_examples=25, deadline=None)
 @given(_bound_configs())
 def test_barycenter_lower_bound_never_exceeds_the_minimum(case):
     unit, k = case
     cfg = _times_power_of_two(unit, k)
-    cert = minimize_barycenter(cfg, max_iters_per_start=500)
-    assert cert.lower <= cert.value
-    assert cert.gap == cert.value - cert.lower or cert.lower == cert.value
-    if cert.stop == "gap":
-        assert cert.gap <= 1e-12 * cert.value
     # the minimum: the unit-size solve with the gap stop off and five times
     # the budget, scaled by 2^(k p) exactly; at unit size the objective's
     # float value is closest to the exact one
@@ -545,9 +542,33 @@ def test_barycenter_lower_bound_never_exceeds_the_minimum(case):
         long = minimize_barycenter(unit, max_iters_per_start=2500)
     try:
         minimum = math.ldexp(long.value, int(k * cfg.p))
-    except OverflowError:       # the minimum leaves the float range
-        minimum = math.inf
+    except OverflowError:       # the minimum leaves the float range: no certificate
+        with pytest.raises(OverflowError, match="^Barycenter objective is not finite"):
+            minimize_barycenter(cfg, max_iters_per_start=500)
+        return
+    cert = minimize_barycenter(cfg, max_iters_per_start=500)
+    assert cert.lower <= cert.value
+    assert cert.gap == cert.value - cert.lower
+    if cert.stop == "gap":
+        assert cert.gap <= 1e-12 * cert.value
     assert cert.lower <= minimum
+
+
+@pytest.mark.parametrize("space,p", [(RL, 2.0), (RL, 3.0), (WeightedLq(3.0), 2.0)],
+                         ids=["real-p2-closed-form", "real-p3", "l3-p2"])
+def test_barycenter_objective_beyond_the_float_range_raises(space, p):
+    # atoms near 2^830: the solve is finite in the solver's scaled units but
+    # the value is not, and a certificate with an inf or NaN end certifies
+    # nothing
+    big = math.ldexp(1.0, 830)
+    if isinstance(space, RealLine):
+        x = FiniteDist.uniform(RL, [-big, big])
+        y = FiniteDist.uniform(RL, [0.0, 3.0 * big])
+    else:
+        x = FiniteDist.uniform(space, [CVector([big, 0.0]), CVector([-big, big])])
+        y = FiniteDist.delta(space, CVector([0.0, 2.0 * big]))
+    with pytest.raises(OverflowError, match=r"^Barycenter objective is not finite \(value=inf\)$"):
+        minimize_barycenter(Config(space, x, y, p))
 
 
 def test_fn_inf_solve_stops_on_the_gap_at_its_starts():

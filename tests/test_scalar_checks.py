@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,7 @@ SUITE_GOLDEN = {
     "subadditivity": "beb79b5a097e7cf6a19e06602b85738542533c19dbb6776c3db54313208394e1",
     "gaussian": "2c49ab83153a5c96fb907e5f00be89fe92933a443305565f1df62dcb6760b7a1",
     "laplace": "f78c8fac3acaeb56757dc62b0e931082d9f173e1045d7243f43fe5a772b66723",
+    "hilbert": "b239f44eb5db20e4f96d554942df4928cf0785e143f2ed83600489d55c38879d",
 }
 
 
@@ -308,6 +310,16 @@ def _suite_sides(name):
             y = _real_law(rng.normal(size=k), rng.dirichlet(np.ones(k)))
             for s in (0.1, 1.0, 10.0):
                 out += gaussian_smoothing_check(x, y, s)[:2]
+    elif name == "hilbert":
+        for variant in ("roundness", "mixture", "antisym"):
+            rng = np.random.default_rng([7003, sum(ord(ch) for ch in variant)])
+            for _ in range(1000):
+                mu = rng.dirichlet(np.ones(5))
+                nu = mu if variant == "antisym" else rng.dirichlet(np.ones(5))
+                vals = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+                ab = ((complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
+                      if variant == "mixture" else ())
+                out += verify_scalar_hilbert(KernelMatrix(mu, nu, vals), variant, *ab)[:2]
     else:
         rng = np.random.default_rng(7004)
         for _ in range(20):
@@ -345,6 +357,65 @@ def test_subadditivity_runner_below_q_two_pin():
     assert len(rows) == 199
     assert _json_sha(rows) == \
         "2ce80085bc38219f765c008dac11caec10d5b8c99b9a65cd36bc1739c1371bdc"
+
+
+@pytest.mark.parametrize("grid,tol,digest", [
+    (400, -1e-6, "4071286953d202432cf2d5e8792b71ee268948eabad376cc155178f429e9837c"),
+    (400, -1.0, "1e1db516107dfa8d8b184eb1a316f58d883dfed2b7cf9f16ba5967f2e8385c0c"),
+    (1001, 1e-17, "9345292aafe9978955f112cf0859e80a559055f80c3a35a6c27eee9a14023d15"),
+    (1001, -1e-16, "ea96b5384558384b3bfaa4386f14d0e2db427bb7c7311b1e7440556477ffbd2f"),
+    (1001, -1.0, "1e1db516107dfa8d8b184eb1a316f58d883dfed2b7cf9f16ba5967f2e8385c0c"),
+])
+def test_alpha_grid_rows_at_forced_tolerances_pin(grid, tol, digest):
+    # a negative (or tiny) allowance forces violation rows; sha256 of the rows
+    # as recorded while the grid was one full meshgrid.  At grid 400 and
+    # -1e-6 the q = 5.5 and 6 rows lie in the middle of the grid; at -1.0
+    # a corner of the first row ties with one of the last, and the first is
+    # kept
+    rows = run_alpha_grid(qs=(3.0, 3.5, 4.0, 5.5, 6.0), grid=grid, tol=tol)
+    assert _json_sha(rows) == digest
+
+
+def test_alpha_grid_runs_in_bounded_memory():
+    # row blocks of at most spaces._BLOCK_ENTRIES entries: a full 2000 x 2000
+    # meshgrid and its temporaries traced about 280 MiB
+    tracemalloc.start()
+    try:
+        rows = run_alpha_grid(grid=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == []
+    assert peak <= 8 * 2 ** 20
+
+
+def _same_draws(ours, ref, got, want):
+    assert got.tobytes() == np.asarray(want).tobytes()
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_flat_dirichlet_is_numpys_flat_dirichlet():
+    # numpy draws Dirichlet(1, ..., 1) as standard exponentials times the
+    # reciprocal of their sequential sum; should a release change that, this
+    # test names the cause of the failing goldens
+    for m in range(1, 6):
+        for seed in range(1000):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            _same_draws(ours, ref, sc._flat_dirichlet(ours, m), ref.dirichlet(np.ones(m)))
+
+
+def test_joined_normal_draws_are_the_separate_draws():
+    # the suites' joined calls: alpha and beta of the Hilbert "mixture"
+    # variant as (re, im) pairs of one size-4 draw, and a kernel's real and
+    # imaginary parts as one (2, m, k) draw
+    for seed in range(1000):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        four = ours.normal(size=4)
+        _same_draws(ours, ref, four, [ref.normal() for _ in range(4)])
+        assert four.view(complex).tolist() == [complex(*four[:2]), complex(*four[2:])]
+        re, im = ours.normal(size=(2, 3, 4))
+        _same_draws(ours, ref, re + 1j * im,
+                    ref.normal(size=(3, 4)) + 1j * ref.normal(size=(3, 4)))
 
 
 def test_cosine_log_moment_pin():
