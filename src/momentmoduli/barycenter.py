@@ -133,7 +133,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .distributions import Config, cross_moment, self_moment, stack_mean
+from .distributions import Config, _moment, cross_moment, self_moment, stack_mean
 from .spaces import (
     INF,
     AtomStack,
@@ -224,7 +224,7 @@ def barycenter_objective(config: Config, z) -> float:
     zs = stack_points(config.space, z if isinstance(z, AtomStack) else [z])
     cx = pairwise_powered(config.space, config.X.stack, zs, config.p)[:, 0]
     cy = pairwise_powered(config.space, config.Y.stack, zs, config.p)[:, 0]
-    return float(config.X.probs @ cx + config.Y.probs @ cy)
+    return _moment(config.X.probs, cx) + _moment(config.Y.probs, cy)
 
 
 def mixture_draw_bound(config: Config) -> float:

@@ -177,7 +177,10 @@ def general_bound(p: float) -> float:
     """Universal barycenter constant 3^p / 2^(p-1) (equals 3 at p = 1)."""
     if not (p >= 1.0):
         raise ValueError("general_bound requires p >= 1")
-    return 3.0 ** p / 2.0 ** (p - 1.0)
+    try:
+        return 3.0 ** p / 2.0 ** (p - 1.0)
+    except OverflowError:       # 3^p overflows from p = 646.1, 2 * 1.5^p from 1748.8
+        return math.ldexp(1.5 ** p, 1)
 
 
 def metric_bound(p: float) -> float:

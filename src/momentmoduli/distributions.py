@@ -19,6 +19,7 @@ from .spaces import (
     Space,
     Point,
     RealLine,
+    _check_rows,
     is_linear,
     json_number,
     pairwise_powered,
@@ -239,12 +240,19 @@ def mixture(x: FiniteDist, y: FiniteDist) -> FiniteDist:
     return FiniteDist(x.space, x.stack.with_array(rows[kept]), probs)
 
 
+def _moment(a: np.ndarray, block: np.ndarray, b: Optional[np.ndarray] = None) -> float:
+    """The one reduction of a block of d(x, y)^p values to a moment, a @ block
+    @ b or, for one column, a @ block: numpy's matmul on a contiguous copy, so
+    that a view into a larger matrix sums as its own kernel call's block."""
+    block = np.ascontiguousarray(block)
+    return float(a @ block if b is None else a @ block @ b)
+
+
 def cross_moment(x: FiniteDist, y: FiniteDist, p: float) -> float:
     """E d(X, Y)^p for independent X, Y as an exact double sum."""
     if x.space != y.space:
         raise ValueError("cross_moment requires a shared space")
-    m = pairwise_powered(x.space, x.stack, y.stack, p)
-    return float(x.probs @ m @ y.probs)
+    return _moment(x.probs, pairwise_powered(x.space, x.stack, y.stack, p), y.probs)
 
 
 def self_moment(x: FiniteDist, p: float) -> float:
@@ -271,6 +279,15 @@ def stack_mean(stack: AtomStack, probs: np.ndarray) -> np.ndarray:
     return np.dot(probs.reshape(1, -1), a.reshape(len(a), -1)).reshape(a.shape[1:])
 
 
+def _mixture_center(xs: AtomStack, xp: np.ndarray, ys: AtomStack,
+                    yp: np.ndarray) -> AtomStack:
+    """The mixture's center (E[X] + E[Y]) / 2 of two laws on a linear kind,
+    given by their stacks and probabilities, as a checked one-row stack."""
+    z = (0.5 * (stack_mean(xs, xp) + stack_mean(ys, yp)))[None]
+    _check_rows(xs.space, z)
+    return xs._sharing(z)
+
+
 def mean(x: FiniteDist) -> Point:
     """Entrywise expectation as a point; rejects nonlinear space kinds."""
     return x.stack.with_array(mean_row(x)[None]).points()[0]
@@ -279,8 +296,7 @@ def mean(x: FiniteDist) -> Point:
 def centered_moment(x: FiniteDist, p: float) -> float:
     """E d(X, E[X])^p."""
     m = x.stack.with_array(mean_row(x)[None])
-    col = pairwise_powered(x.space, x.stack, m, p)[:, 0]
-    return float(x.probs @ col)
+    return _moment(x.probs, pairwise_powered(x.space, x.stack, m, p)[:, 0])
 
 
 def log_cross_moment(x: FiniteDist, y: FiniteDist) -> float:

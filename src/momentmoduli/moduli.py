@@ -37,9 +37,10 @@ from .barycenter import (
 from .distributions import (
     Config,
     FiniteDist,
+    _mixture_center,
+    _moment,
     centered_moment,
     cross_moment,
-    mean_row,
     self_moment,
 )
 from .spaces import (
@@ -243,8 +244,8 @@ def mixture_ratio(config: Config) -> RatioReport:
     den = cross_moment(config.X, config.Y, config.p)
     if den <= 0.0:
         raise DegenerateRatioError("mixture denominator vanished", float("nan"), den)
-    z = 0.5 * (mean_row(config.X) + mean_row(config.Y))
-    num = barycenter_objective(config, config.X.stack.with_array(z[None]))
+    z = _mixture_center(config.X.stack, config.X.probs, config.Y.stack, config.Y.probs)
+    num = barycenter_objective(config, z)
     return _report("Mixture", num, den, _mixture_bound(config.space, config.p))
 
 
@@ -297,12 +298,8 @@ def metric_barycenter_ratio(config: Config) -> RatioReport:
     m = pairwise_powered(config.space, joint, zs, config.p)
     nx = len(config.X.stack)
     px, py = config.X.probs, config.Y.probs
-    # contiguous blocks and one contiguous row per candidate, so that each sum
-    # is the same dot product as on that block or candidate alone
-    den = float(px @ np.ascontiguousarray(m[:nx, nx:len(joint)]) @ py)
-    mx = np.ascontiguousarray(m[:nx].T)
-    my = np.ascontiguousarray(m[nx:].T)
-    best = min(float(px @ mx[j] + py @ my[j]) for j in range(len(zs)))
+    den = _moment(px, m[:nx, nx:len(joint)], py)
+    best = min(_moment(px, m[:nx, j]) + _moment(py, m[nx:, j]) for j in range(len(zs)))
     bound = constants.metric_bound(config.p) if config.p >= 1.0 else None
     if den <= 0.0:
         if best == 0.0:

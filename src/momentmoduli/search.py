@@ -16,13 +16,13 @@ proposal is a move from the current configuration (a row perturbed, added
 or removed, or the masses of one side redrawn) and is priced against M: a
 new row takes one kernel call for its row and column of M, a removal
 deletes a row and column, and a reweight keeps M.  Each entry of M depends
-on its pair alone, and every matrix is reduced by one function that sums
-its blocks as the moment functionals sum them, so each ratio equals the
-moduli module's value bit for bit.  A barycenter proposal builds its
-configuration and goes through the moduli module over the one cross moment
-the evaluator computes, and its solve dominates.  Only the winning
-configuration goes through ``certify_ratio``, and its value is the one
-reported.
+on its pair alone, every matrix is reduced by the moment functionals' one
+reduction, and a mixture center (E X + E Y) / 2 is formed by their one
+function, so each ratio equals the moduli module's value bit for bit.  A
+barycenter proposal builds its configuration and goes through the moduli
+module over the one cross moment the evaluator computes, and its solve
+dominates.  Only the winning configuration goes through ``certify_ratio``,
+and its value is the one reported.
 
 Results are empirical lower bounds on the suprema being probed, never
 proofs, and are labeled as such in serialized output.
@@ -37,7 +37,8 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .constructions import _disjoint_bernoulli_stacks, _parallelogram_rows
-from .distributions import Config, FiniteDist, check_probs, cross_moment, stack_mean
+from .distributions import (Config, FiniteDist, _mixture_center, _moment, check_probs,
+                            cross_moment)
 from .moduli import (
     DegenerateRatioError,
     barycenter_ratio,
@@ -188,37 +189,20 @@ def _config(spec: SearchSpec, state: State) -> Config:
                   FiniteDist(spec.space, ys, yp), spec.p)
 
 
-def _moment(a: np.ndarray, block: np.ndarray, b: np.ndarray) -> float:
-    """a . block . b over a contiguous copy of ``block``, which makes it the
-    same sum as ``cross_moment`` computes on that block alone."""
-    return float(a @ np.ascontiguousarray(block) @ b)
-
-
 def _ratio(m: np.ndarray, zcol: Optional[np.ndarray], nx: int, xp: np.ndarray,
            yp: np.ndarray) -> Tuple[Optional[float], float]:
     """The ratio and denominator of a state whose first ``nx`` joint rows are
     X's, from its joint matrix ``m`` and, for the mixture, the joint rows'
-    distances ``zcol`` to the midpoint: the one reduction of every state's
-    matrix, whose blocks are summed as the moment functionals sum them."""
+    distances ``zcol`` to the mixture center, each block through ``_moment``."""
     den = _moment(xp, m[:nx, nx:], yp)
     if zcol is None:
         num = _moment(xp, m[:nx, :nx], xp) + _moment(yp, m[nx:, nx:], yp)
     else:
-        num = float(xp @ np.ascontiguousarray(zcol[:nx])
-                    + yp @ np.ascontiguousarray(zcol[nx:]))
+        num = _moment(xp, zcol[:nx]) + _moment(yp, zcol[nx:])
     if not 0.0 < den < math.inf:
         return None, den
     v = num / den
     return (v if math.isfinite(v) else None), den
-
-
-def _midpoint(state: State) -> np.ndarray:
-    """The mixture's center (E[X] + E[Y]) / 2 as a one-row array, checked as
-    a stack row."""
-    xs, xp, ys, yp = state
-    z = (0.5 * (stack_mean(xs, xp) + stack_mean(ys, yp)))[None]
-    _check_rows(xs.space, z)
-    return z
 
 
 def _evaluate(spec: SearchSpec, state: State
@@ -230,7 +214,7 @@ def _evaluate(spec: SearchSpec, state: State
     finite; any other error is a fault and propagates.
 
     A roundness or mixture state takes one kernel call for its joint matrix
-    d(x, y)^p over [X; Y] x [X; Y], with the mixture's midpoint z as one
+    d(x, y)^p over [X; Y] x [X; Y], with the mixture center z as one
     more column.  A barycenter value is a solve, which builds the
     configuration, over the cross moment computed here; it has no joint
     matrix.
@@ -248,7 +232,7 @@ def _evaluate(spec: SearchSpec, state: State
     if spec.objective == "roundness":
         m, zcol = pairwise_powered(spec.space, joint, joint, spec.p), None
     else:
-        z = joint._sharing(_midpoint(state))
+        z = _mixture_center(*state)
         both = pairwise_powered(spec.space, joint, joint.concat(z), spec.p)
         m, zcol = both[:, :-1], both[:, -1]
     return (*_ratio(m, zcol, len(xs), xp, yp), m)
@@ -364,7 +348,7 @@ def _price(spec: SearchSpec, state: State, m: Optional[np.ndarray],
     reweight keeps ``m`` as it is.  Every entry of a joint matrix depends on
     its pair alone and is even in x - y, so the entries kept from ``m`` and
     the new ones are those that a whole evaluation computes.  The mixture's
-    distances to the moved midpoint are one more column of the same call;
+    distances to the moved mixture center are one more column of the same call;
     roundness reweights and removals make none.  A barycenter proposal is
     evaluated whole.
     """
@@ -389,7 +373,7 @@ def _price(spec: SearchSpec, state: State, m: Optional[np.ndarray],
         m_new = m if move.row is None else m.copy()
     zcol = None
     if spec.objective == "mixture":
-        cols = [_midpoint(_applied(state, move))]
+        cols = [_mixture_center(*_applied(state, move)).array]
         if move.row is not None:
             cols.insert(0, move.row[np.newaxis])
         both = _pairwise(spec.space, np.concatenate([xa, ya]), np.concatenate(cols),

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -561,3 +564,96 @@ def test_search_whose_moments_all_overflow_exits_2(capsys, space):
     assert (code, out) == (2, "")
     assert err == ("error: a value leaves the floating-point range: "
                    "no start of the search has a finite, nondegenerate ratio\n")
+
+
+# ----------------------------------------------------------------------------
+# The README's CLI commands, pinned: the sha256 of each one's standard output
+# and of the file it writes.  Every value is printed with 17 significant
+# digits, so any output that moves by a bit fails here.  The search runs at
+# a smaller budget than the README's.
+
+README_CONFIG = {
+    "space": {"kind": "weighted_lq", "q": 2.0},
+    "X": {"atoms": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+          "probs": ["0.5", "0.5"]},
+    "Y": {"atoms": [[[0.0, 1.0], [0.0, 0.0]]], "probs": [1.0]},
+    "p": 2.0,
+}
+
+README_COMMANDS = {
+    "constants": ["constants", "--pmin", "1", "--pmax", "4", "--step", "0.5",
+                  "--out", "{out}"],
+    "ratio": ["ratio", "--config", "{config}", "--csv", "{out}"],
+    "verify-fn": ["verify", "fn", "--n", "5", "--q", "inf", "--p", "1"],
+    "verify-schatten-parallelogram": ["verify", "schatten-parallelogram",
+                                      "--n", "64", "--p", "1"],
+    "check-cosine": ["check", "cosine", "--grid", "50"],
+    "check-subadditivity": ["check", "subadditivity", "--seeds", "1000"],
+    "search": ["search", "--space", "lq", "--q", "2", "--objective", "roundness",
+               "--p", "2", "--budget", "2000", "--restarts", "2", "--seed", "42",
+               "--out", "{out}"],
+    "sweep": ["sweep", "--construction", "bipartite", "--n", "1,2,4,100",
+              "--p", "1,2,3", "--out", "{out}"],
+}
+
+# name -> (sha256 of standard output, sha256 of the written file or None)
+README_SHA256 = {
+    "check-cosine": (
+        "69a6acee400ac8a62fcd0d9cacc24a5a02c9b3d1a289cf45893556f4619a9762",
+        None),
+    "check-subadditivity": (
+        "69a6acee400ac8a62fcd0d9cacc24a5a02c9b3d1a289cf45893556f4619a9762",
+        None),
+    "constants": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e013c8460ced6b505a9d844c7b99c4fbe90da3b1cecd101d6e18965379a9d37c"),
+    "ratio": (
+        "db0add218243bc0b2a57cbfd64827b97f89961f30ea6671ad33e9ec8eafcd9c3",
+        "1a5dd16e1615810149906d3b2732efe362118504d97447d59566929fce70732c"),
+    "search": (
+        "d5a7cf5a2317eb1752eb5fe90e8735bf59bfc189c0d6eba60f8b7a20acf8dab5",
+        "43856bfc79505e8f3bb7478221ceb3731ecfe68d43393b0bdba6f3bae57a7044"),
+    "sweep": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c4dd4d6c24055629a9a660cbcc781e452a0168eae79612d2de044cd4f4f351a1"),
+    "verify-fn": (
+        "dad5ce26486e4fdd2f1db830c5ea9176416dc4ec83c4a046993959aa4c8cc6b6",
+        None),
+    "verify-schatten-parallelogram": (
+        "866f545c0af2c8505e597de26d357386f3669d03dcc5908005a3b2d7e79284a8",
+        None),
+}
+
+
+def readme_output(name, tmp_path):
+    """Exit code of README command ``name`` and the sha256 of its standard
+    output and of the file it writes (None if it writes none)."""
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(README_CONFIG))
+    args = [a.format(config=config, out=out) for a in README_COMMANDS[name]]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(args)
+    written = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    return code, hashlib.sha256(stdout.getvalue().encode()).hexdigest(), written
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_command_output_is_pinned(tmp_path, name):
+    assert readme_output(name, tmp_path) == (0, *README_SHA256[name])
+
+
+# 3^p overflows from p = 646.1 but the mixture and barycenter bound
+# 3^p / 2^(p-1) = 2 * 1.5^p is finite up to p = 1748.8
+@pytest.mark.parametrize("args", [
+    ["verify", "two-point", "--p", "700"],
+    ["sweep", "--construction", "two-point", "--p", "2,700"],
+    ["ratio", "--config", "{config}"],
+], ids=["verify", "sweep", "ratio"])
+def test_commands_whose_general_bound_is_finite_beyond_3_to_the_p_exit_0(
+        capsys, tmp_path, args):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_REAL_CONFIG, "X": {"atoms": [0.0], "probs": [1.0]},
+                                  "Y": {"atoms": [1.0], "probs": [1.0]}, "p": 700}))
+    code, _, err = run_cli([a.format(config=config) for a in args], capsys)
+    assert (code, err) == (0, "")

@@ -88,6 +88,16 @@ def test_bounds_values():
         metric_bound(0.0)
 
 
+def test_general_bound_beyond_the_overflow_of_3_to_the_p():
+    # 3^p overflows from p = 646.1; 2 * 1.5^p, the same value, from p = 1748.8
+    assert general_bound(646.0) == 3.0 ** 646.0 / 2.0 ** 645.0
+    for p in (647.0, 700.0, 1748.0):
+        assert general_bound(p) == 2.0 * 1.5 ** p < math.inf
+    for p in (1748.9, 1750.0, 1e6):
+        with pytest.raises(OverflowError):
+            general_bound(p)
+
+
 def test_bm_bound_examples():
     assert bm_bound(1.5, 2.0) == pytest.approx(2.0 ** 0.5, rel=1e-14)
     assert bm_bound(1.0, 1.0) == pytest.approx(2.0, abs=1e-14)

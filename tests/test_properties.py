@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 from conftest import random_dist
 from momentmoduli import cli, moduli
-from momentmoduli.distributions import Config, FiniteDist, cross_moment
+from momentmoduli.distributions import (
+    Config,
+    FiniteDist,
+    _mixture_center,
+    _moment,
+    cross_moment,
+    self_moment,
+)
 from momentmoduli.moduli import (
     DegenerateRatioError,
     barycenter_objective,
@@ -38,6 +45,7 @@ from momentmoduli.spaces import (
     Snowflake,
     WeightedLq,
     is_linear,
+    pairwise_powered,
 )
 
 SPACES = [RealLine(), WeightedLq(1.0), WeightedLq(2.0), WeightedLq(3.0), WeightedLq(INF),
@@ -175,6 +183,27 @@ def test_metric_barycenter_is_the_per_candidate_minimum(space, seed, nx, ny, p):
     else:
         expected = 0.0 if best == 0.0 else "degenerate"
     assert _value(metric_barycenter_ratio, cfg) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_CASES)
+def test_joint_matrix_blocks_reduce_as_their_own_kernel_calls(space, seed, nx, ny, p):
+    # one kernel call over the joint stack, its blocks reduced by the moment
+    # functionals' reduction, gives the moments of separate calls bit for bit
+    cfg = _config(space, seed, nx, ny, p)
+    x, y = cfg.X, cfg.Y
+    joint = x.stack.concat(y.stack)
+    m = pairwise_powered(space, joint, joint, p)
+    n = len(x.stack)
+    blocks = [_moment(x.probs, m[:n, :n], x.probs), _moment(y.probs, m[n:, n:], y.probs),
+              _moment(x.probs, m[:n, n:], y.probs)]
+    moments = [self_moment(x, p), self_moment(y, p), cross_moment(x, y, p)]
+    assert [v.hex() for v in blocks] == [v.hex() for v in moments]
+    if is_linear(space):
+        z = _mixture_center(x.stack, x.probs, y.stack, y.probs)
+        col = pairwise_powered(space, joint, joint.concat(z), p)[:, -1]
+        num = _moment(x.probs, col[:n]) + _moment(y.probs, col[n:])
+        assert num.hex() == barycenter_objective(cfg, z).hex()
 
 
 # ------------------------------------------------------------- CLI fuzz
