@@ -197,7 +197,10 @@ def bm_bound(p, q) -> float:
     c = c_exponent(p, q)
     C = C_exponent(p, q)
     first = general_bound(p) * (math.sqrt(2.0) / 3.0) ** (2.0 * c)
-    second = (2.0 ** C + 2.0) / 2.0 ** (c + 1.0)
+    try:
+        second = (2.0 ** C + 2.0) / 2.0 ** (c + 1.0)
+    except OverflowError:       # 2^C overflows from about p = 1024; for p > 5 first is the smaller
+        second = math.inf
     return min(first, second)
 
 

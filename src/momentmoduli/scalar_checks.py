@@ -10,30 +10,30 @@ quadrature with explicit singularity and tail control.
 
 Each seeded inequality (sub-additivity, Gaussian smoothing and the three
 Hilbert variants) is one array kernel over a leading batch axis; the
-per-law functions run it on a batch of one.  The suite runners draw every
-seed with the same generator calls in the same order as the per-law
-``random_*`` helpers, check each block of ``_BLOCK`` draws at once with the
-checks a law object makes, and run the kernel once per group of seeds with
-equal atom counts, so that every sum adds the same elements in the same
-order as on one law.
+per-law functions run it on a batch of one.  The suite runners draw their
+seeds in blocks of ``_BLOCK``, check each block at once with the checks a
+law object makes, and run the kernel once per group of seeds with equal
+atom counts, so that every sum adds the same elements in the same order as
+on one law.  The per-law ``random_*`` helpers draw a block of one through
+the same code.
 
-The draws take numpy's cheapest calls that keep every stream bit for bit.
-A flat Dirichlet law is i.i.d. standard exponentials times the reciprocal
-of their sum (Devroye 1986, ch. XI); numpy's ``Generator.dirichlet`` draws
-each standard_gamma(1) coordinate as a standard exponential and sums them in
-order, which is what :func:`_flat_dirichlet` does at about a third of the
-cost, leaving the generator in the same state.  One ``normal(size=4)``
-draws the "mixture" variant's alpha and beta as (re, im) pairs, and one
-(2, m, k) draw a kernel's real and imaginary parts, in the order of the
-separate calls.  The alpha grid runs in blocks of rows of at most
-``spaces._BLOCK_ENTRIES`` entries on broadcast axes: O(grid) memory.
+In a block each seed only draws: ``integers`` for an atom count, then
+``standard_normal`` and ``standard_exponential`` straight into the block's
+buffers through ``out=``, the stream of ``normal`` and ``dirichlet``.  The
+rest runs once per block on the buffer rows, each row in its per-law
+order: ``+ 0.0``, which turns a standard normal z into the ``0.0 + 1.0 * z``
+of ``normal`` (they differ only in the sign of an exact zero); the flat
+Dirichlet law, i.i.d. standard exponentials times the reciprocal of their
+sum in order, as numpy's ``dirichlet`` makes it (Devroye 1986, ch. XI);
+the centering; a kernel's ``re + 1j * im``.  The alpha grid runs in blocks
+of rows of at most ``spaces._BLOCK_ENTRIES`` entries: O(grid) memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -365,56 +365,10 @@ def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 # the property held everywhere it was probed.
 # --------------------------------------------------------------------------
 
-def _flat_dirichlet(rng: np.random.Generator, m: int) -> np.ndarray:
-    """A Dirichlet(1, ..., 1) draw of m coordinates: ``rng.dirichlet(np.ones(m))``
-    to the bit, leaving the generator in the same state, for m <= 7, where
-    numpy's sum adds the terms in order as ``dirichlet`` does (the suites
-    draw at most 5)."""
-    e = rng.standard_exponential(m)
-    return e * (1.0 / np.add.reduce(e))
-
-
-def _draw_real(rng: np.random.Generator, fewest: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Atoms and probabilities of a random real law with fewest.._MAX_ATOMS
-    atoms: normal atoms, Dirichlet(1, ..., 1) probabilities."""
-    m = int(rng.integers(fewest, _MAX_ATOMS + 1))
-    return rng.normal(size=m), _flat_dirichlet(rng, m)
-
-
-def _draw_any(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """A :func:`_draw_real` law with 1.. atoms."""
-    return _draw_real(rng, 1)
-
-
-def _draw_centered(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """A :func:`_draw_real` law with 2.. atoms, shifted to mean zero."""
-    atoms, probs = _draw_real(rng, 2)
-    return atoms - probs @ atoms, probs
-
-
-def _draw_kernel(rng: np.random.Generator, m: int, k: int, symmetric_measures: bool):
-    """Masses and complex normal values of a random m x k kernel; nu is mu
-    when ``symmetric_measures``."""
-    mu = _flat_dirichlet(rng, m)
-    nu = mu if symmetric_measures else _flat_dirichlet(rng, k)
-    re, im = rng.normal(size=(2, m, nu.size))
-    return mu, nu, re + 1j * im
-
-
-def random_centered_pair(rng: np.random.Generator) -> Tuple[FiniteDist, FiniteDist]:
-    """Two independent mean-zero real laws with 2..4 atoms."""
-    x = _real_law(*_draw_centered(rng))
-    return x, _real_law(*_draw_centered(rng))
-
-
-def random_positive_dist(rng: np.random.Generator) -> FiniteDist:
-    m = int(rng.integers(1, _MAX_ATOMS + 1))
-    return _real_law(np.exp(rng.normal(size=m)), _flat_dirichlet(rng, m))
-
-
-def random_kernel(rng: np.random.Generator, m: int = 5, k: int = 5,
-                  symmetric_measures: bool = False) -> KernelMatrix:
-    return KernelMatrix(*_draw_kernel(rng, m, k, symmetric_measures))
+def _flat_dirichlet_rows(e: np.ndarray) -> np.ndarray:
+    """``rng.dirichlet(np.ones(m))`` of each row's (B, m) exponentials ``e``,
+    for m <= 7, where numpy sums in order as ``dirichlet`` does."""
+    return e * (1.0 / np.add.reduce(e, axis=1))[:, None]
 
 
 class _Laws:
@@ -450,26 +404,83 @@ class _Laws:
         at = self.starts[idx, None] + np.arange(m)
         return self.atoms[at], self.probs[at]
 
+    def law(self, i: int, exp: bool = False) -> FiniteDist:
+        """Law i; with ``exp``, the law of e^X for X law i."""
+        at = slice(self.starts[i], self.starts[i] + self.sizes[i])
+        return _real_law(np.exp(self.atoms[at]) if exp else self.atoms[at], self.probs[at])
 
-def _draw_pairs(rng: np.random.Generator, n: int, draw,
-                centered: bool = False) -> Tuple[_Laws, _Laws]:
-    """The X and Y laws of n seeds, each law drawn by ``draw(rng)``, X
-    before Y in each seed; written into one buffer per side as they are
-    drawn, then checked."""
-    atoms = np.empty((2, n * _MAX_ATOMS))
-    probs = np.empty((2, n * _MAX_ATOMS))
-    sizes = np.empty((2, n), dtype=np.intp)
-    ends = [0, 0]
+
+def _draw_laws(rng: np.random.Generator, n: int, sides: int, fewest: int,
+               centered: bool = False) -> List[_Laws]:
+    """The laws of n seeds, ``sides`` laws per seed (X before Y), each the
+    draws of ``m = rng.integers(fewest, _MAX_ATOMS + 1)``, ``rng.normal(size=m)``
+    and ``rng.dirichlet(np.ones(m))``; with ``centered``, shifted to mean 0."""
+    # per side: atoms, exponentials and the end of each law's atoms in them
+    buffers = [(np.empty(n * _MAX_ATOMS), np.empty(n * _MAX_ATOMS), [0])
+               for _ in range(sides)]
+    for _ in range(n):
+        for atoms, exps, ends in buffers:
+            lo = ends[-1]
+            hi = lo + int(rng.integers(fewest, _MAX_ATOMS + 1))
+            rng.standard_normal(out=atoms[lo:hi])
+            rng.standard_exponential(out=exps[lo:hi])
+            ends.append(hi)
+    laws = []
+    for atoms, exps, ends in buffers:
+        starts, sizes = np.array(ends[:-1]), np.diff(ends)
+        a, p = atoms[:ends[-1]], exps[:ends[-1]]
+        a += 0.0    # normal(size=m) is 0.0 + 1.0 * z: the sign of an exact zero is lost
+        for m in np.unique(sizes):
+            at = starts[sizes == m, None] + np.arange(m)
+            p[at] = _flat_dirichlet_rows(p[at])
+            if centered:
+                a[at] -= _dot(p[at], a[at])[:, None]
+        laws.append(_Laws(a, p, sizes, centered))
+    return laws
+
+
+def _draw_kernels(rng: np.random.Generator, n: int, m: int, k: int,
+                  symmetric_measures: bool, mixture: bool = False):
+    """mu (n, m), nu (n, k), values (n, m, k) and alpha, beta (2, n) of n
+    kernels: the draws of ``rng.dirichlet`` for mu, for nu unless it is mu,
+    ``rng.normal(size=(2, m, k))`` and, if ``mixture``, ``normal(size=4)``."""
+    if symmetric_measures:
+        k = m
+    mu = np.empty((n, m))
+    nu = mu if symmetric_measures else np.empty((n, k))
+    re_im = np.empty((n, 2, m, k))
+    ab = np.empty((n, 4 if mixture else 0))
     for i in range(n):
-        for side in (0, 1):
-            a, p = draw(rng)
-            lo = ends[side]
-            ends[side] = hi = lo + p.size
-            atoms[side, lo:hi] = a
-            probs[side, lo:hi] = p
-            sizes[side, i] = p.size
-    return tuple(_Laws(atoms[side, :ends[side]], probs[side, :ends[side]], sizes[side],
-                       centered) for side in (0, 1))
+        rng.standard_exponential(out=mu[i])
+        if not symmetric_measures:
+            rng.standard_exponential(out=nu[i])
+        rng.standard_normal(out=re_im[i])
+        if mixture:
+            rng.standard_normal(out=ab[i])
+    re_im += 0.0        # as in _draw_laws
+    ab += 0.0
+    mu = _flat_dirichlet_rows(mu)
+    nu = mu if symmetric_measures else _flat_dirichlet_rows(nu)
+    # re + 1j * im to the bit, as no part is -0.0, with no complex temporary
+    v = np.empty((n, m, k), dtype=complex)
+    v.real, v.imag = re_im[:, 0], re_im[:, 1]
+    return mu, nu, v, ab.view(complex).T
+
+
+def random_centered_pair(rng: np.random.Generator) -> Tuple[FiniteDist, FiniteDist]:
+    """Two independent mean-zero real laws with 2..4 atoms."""
+    x, y = _draw_laws(rng, 1, 2, 2, centered=True)
+    return x.law(0), y.law(0)
+
+
+def random_positive_dist(rng: np.random.Generator) -> FiniteDist:
+    return _draw_laws(rng, 1, 1, 1)[0].law(0, exp=True)
+
+
+def random_kernel(rng: np.random.Generator, m: int = 5, k: int = 5,
+                  symmetric_measures: bool = False) -> KernelMatrix:
+    mu, nu, v, _ = _draw_kernels(rng, 1, m, k, symmetric_measures)
+    return KernelMatrix(mu[0], nu[0], v[0])
 
 
 def _pair_groups(x: _Laws, y: _Laws):
@@ -542,7 +553,7 @@ def run_subadditivity_suite(qs=(3.0, 4.0, 5.5), seeds: int = 1000) -> list:
         rng = np.random.default_rng([_SUBADDITIVITY_SEED, int(q * 10)])
         for lo in range(0, seeds, _BLOCK):
             n = min(_BLOCK, seeds - lo)
-            x, y = _draw_pairs(rng, n, _draw_centered, centered=True)
+            x, y = _draw_laws(rng, n, 2, 2, centered=True)
             lhs, rhs, holds = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
             for idx, xa, xp, ya, yp in _pair_groups(x, y):
                 lhs[idx], rhs[idx], holds[idx] = _subadditivity_sides(xa, xp, ya, yp, q)
@@ -558,7 +569,7 @@ def run_smoothing_suite(svals=(0.1, 1.0, 10.0), seeds: int = 1000) -> list:
     rng = np.random.default_rng(_SMOOTHING_SEED)
     for lo in range(0, seeds, _BLOCK):
         n = min(_BLOCK, seeds - lo)
-        x, y = _draw_pairs(rng, n, _draw_any)
+        x, y = _draw_laws(rng, n, 2, 1)
         shape = (n, len(svals))
         lhs, rhs, holds = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
         for idx, xa, xp, ya, yp in _pair_groups(x, y):
@@ -579,18 +590,12 @@ def run_hilbert_suite(seeds: int = 1000) -> list:
         symmetric = variant == "antisym"
         for lo in range(0, seeds, _BLOCK):
             n = min(_BLOCK, seeds - lo)
-            mu = np.empty((n, _HILBERT_SIZE))
-            nu = np.empty((n, _HILBERT_SIZE))
-            v = np.empty((n, _HILBERT_SIZE, _HILBERT_SIZE), dtype=complex)
-            ab = np.full((2, n), 0.5, dtype=complex)   # alpha, beta of "mixture"
-            for i in range(n):
-                mu[i], nu[i], v[i] = _draw_kernel(rng, _HILBERT_SIZE, _HILBERT_SIZE,
-                                                  symmetric)
-                if variant == "mixture":
-                    ab[:, i] = rng.normal(size=4).view(complex)
+            mu, nu, v, ab = _draw_kernels(rng, n, _HILBERT_SIZE, _HILBERT_SIZE, symmetric,
+                                          mixture=variant == "mixture")
             check_prob_rows(mu)
             check_prob_rows(nu)
             lhs, rhs, holds = _hilbert_sides(mu, nu, v, variant, *ab)
+            del mu, nu, v, ab           # freed before the next block is drawn
             for i in np.flatnonzero(~holds):
                 violations.append({"check": f"hilbert_{variant}",
                                    "seed_index": lo + int(i),
@@ -613,10 +618,11 @@ def run_cosine_suite(n_alphas: int = 50, tol: float = 1e-6) -> list:
 def run_laplace_suite(n_dists: int = 20, tol: float = 1e-6) -> list:
     violations = []
     rng = np.random.default_rng(_LAPLACE_SEED)
-    for i in range(n_dists):
-        w = random_positive_dist(rng)
-        lhs, rhs = laplace_log_identity(w)
-        if abs(lhs - rhs) > tol:
-            violations.append({"check": "laplace", "seed_index": i,
-                               "lhs": lhs, "rhs": rhs})
+    for lo in range(0, n_dists, _BLOCK):
+        (laws,) = _draw_laws(rng, min(_BLOCK, n_dists - lo), 1, 1)
+        for i in range(len(laws.sizes)):
+            lhs, rhs = laplace_log_identity(laws.law(i, exp=True))
+            if abs(lhs - rhs) > tol:
+                violations.append({"check": "laplace", "seed_index": lo + i,
+                                   "lhs": lhs, "rhs": rhs})
     return violations

@@ -657,3 +657,15 @@ def test_commands_whose_general_bound_is_finite_beyond_3_to_the_p_exit_0(
                                   "Y": {"atoms": [1.0], "probs": [1.0]}, "p": 700}))
     code, _, err = run_cli([a.format(config=config) for a in args], capsys)
     assert (code, err) == (0, "")
+
+
+# the bound's second term 2^C overflows from about p = 1024, where the first
+# term, and so the min, is still finite
+@pytest.mark.parametrize("args", [
+    ["verify", "two-point", "--p", "1100"],
+    ["verify", "two-point", "--p", "1748"],
+    ["sweep", "--construction", "two-point", "--p", "2,1100"],
+], ids=["verify-1100", "verify-1748", "sweep"])
+def test_commands_whose_bm_bound_is_finite_beyond_2_to_the_C_exit_0(capsys, args):
+    code, _, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")

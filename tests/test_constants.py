@@ -107,6 +107,14 @@ def test_bm_bound_examples():
     assert first == pytest.approx(second, rel=1e-14)
 
 
+def test_bm_bound_beyond_the_overflow_of_2_to_the_C():
+    # 2^C overflows from about p = 1024; the first term is the min there
+    assert bm_bound(1024.0, 2.0) == min(
+        general_bound(1024.0) * (math.sqrt(2.0) / 3.0) ** 2.0, (2.0 ** 1023.0 + 2.0) / 4.0)
+    assert bm_bound(1100.0, 2.0) == general_bound(1100.0) * (math.sqrt(2.0) / 3.0) ** 2.0
+    assert bm_bound(1100.0, 2.0) < math.inf
+
+
 def test_interpolation_endpoints():
     assert interpolation_bounds(1.0, 2.0) == (2.0, 2.0, 1.0)
     r, j, mb = interpolation_bounds(0.0, 1.0)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from momentmoduli import scalar_checks as sc
+from momentmoduli import quadrature, scalar_checks as sc
 from momentmoduli.distributions import FiniteDist, mixture
 from momentmoduli.scalar_checks import (
     KernelMatrix,
@@ -293,6 +293,20 @@ SUITE_GOLDEN = {
 }
 
 
+def _numpy_law(rng, fewest, centered=False):
+    # a suite's random real law drawn with numpy's own calls
+    m = int(rng.integers(fewest, 5))
+    atoms, probs = rng.normal(size=m), rng.dirichlet(np.ones(m))
+    return (atoms - probs @ atoms if centered else atoms), probs
+
+
+def _numpy_kernel(rng, symmetric):
+    # the Hilbert suite's random 5 x 5 kernel drawn with numpy's own calls
+    mu = rng.dirichlet(np.ones(5))
+    nu = mu if symmetric else rng.dirichlet(np.ones(5))
+    return KernelMatrix(mu, nu, rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+
+
 def _suite_sides(name):
     out = []
     if name == "subadditivity":
@@ -397,11 +411,75 @@ def _same_draws(ours, ref, got, want):
 def test_flat_dirichlet_is_numpys_flat_dirichlet():
     # numpy draws Dirichlet(1, ..., 1) as standard exponentials times the
     # reciprocal of their sequential sum; should a release change that, this
-    # test names the cause of the failing goldens
+    # test names the cause of the failing goldens.  Each row of a (B, m)
+    # block is normalized as one law is
     for m in range(1, 6):
+        block, want = np.empty((1000, m)), np.empty((1000, m))
         for seed in range(1000):
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            _same_draws(ours, ref, sc._flat_dirichlet(ours, m), ref.dirichlet(np.ones(m)))
+            ours.standard_exponential(out=block[seed])
+            want[seed] = ref.dirichlet(np.ones(m))
+            assert ours.bit_generator.state == ref.bit_generator.state
+        assert sc._flat_dirichlet_rows(block).tobytes() == want.tobytes()
+        one = sc._flat_dirichlet_rows(block[:1])
+        assert one.tobytes() == want[:1].tobytes()
+
+
+def test_out_draws_are_the_sized_draws():
+    # the block draws write standard normals and exponentials into buffer
+    # slices; normal() is 0.0 + 1.0 * z, which only an exact zero draw tells
+    # apart from z + 0.0, the block code's form
+    for seed in range(1000):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        buf = np.empty(15 + 50 + 4)
+        lo = 0
+        for m in range(1, 6):
+            got = buf[lo:lo + m]
+            ours.standard_normal(out=got)
+            _same_draws(ours, ref, got + 0.0, ref.normal(size=m))
+            ours.standard_exponential(out=got)
+            _same_draws(ours, ref, got, ref.standard_exponential(m))
+            lo += m
+        kernel = buf[lo:lo + 50].reshape(2, 5, 5)
+        ours.standard_normal(out=kernel)
+        _same_draws(ours, ref, kernel + 0.0, ref.normal(size=(2, 5, 5)))
+        four = buf[lo + 50:]
+        ours.standard_normal(out=four)
+        _same_draws(ours, ref, four + 0.0, ref.normal(size=4))
+    for z in (0.0, -0.0, 5e-324, -5e-324, -1.5):
+        z = np.float64(z)
+        assert (z + 0.0).tobytes() == (0.0 + 1.0 * z).tobytes()
+
+
+def test_batched_dot_is_each_rows_dot():
+    # the block draws center each row by _dot, a law by its probs @ atoms
+    for m in range(1, 6):
+        p, a = np.empty((1000, m)), np.empty((1000, m))
+        for seed in range(1000):
+            rng = np.random.default_rng(seed)
+            p[seed], a[seed] = rng.dirichlet(np.ones(m)), rng.normal(size=m)
+        want = np.array([p[i] @ a[i] for i in range(1000)])
+        assert sc._dot(p, a).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nodes", [16, 32])
+def test_stacked_panel_dot_is_each_panels_dot(nodes):
+    # numpy runs a stacked (panels, 1, n) @ (n, 1) matmul as one dot per
+    # panel; vals @ w over all panels at once rounds some sums differently
+    x, w = quadrature._rule(nodes)
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-3.0, 3.0, size=5)
+        hi = lo + rng.uniform(0.0, 2.0, size=5)
+        t = rng.uniform(-1.5, 1.5)
+
+        def f(x):
+            return np.log(np.abs(np.cos(x) - t))
+
+        half = 0.5 * (hi - lo)
+        vals = f((0.5 * (lo + hi))[:, None] + half[:, None] * x)
+        want = [float(h) * float(np.dot(w, v)) for h, v in zip(half, vals)]
+        assert quadrature.gl_panels(f, lo, hi, nodes=nodes) == want
 
 
 def test_joined_normal_draws_are_the_separate_draws():
@@ -432,7 +510,7 @@ def test_subadditivity_runner_across_a_block_boundary():
     for q in (1.5, 3.0):
         rng = np.random.default_rng([7001, int(q * 10)])
         for i in range(seeds):
-            x, y = random_centered_pair(rng)
+            x, y = _real_law(*_numpy_law(rng, 2, True)), _real_law(*_numpy_law(rng, 2, True))
             lhs, rhs, holds = check_subadditivity(x, y, q)
             if not holds:
                 expected.append({"check": "subadditivity", "q": q,
@@ -443,9 +521,9 @@ def test_subadditivity_runner_across_a_block_boundary():
 
 
 def test_smoothing_kernel_on_one_block_matches_the_per_law_check():
-    x, y = sc._draw_pairs(np.random.default_rng(7002), sc._BLOCK, sc._draw_any)
+    x, y = sc._draw_laws(np.random.default_rng(7002), sc._BLOCK, 2, 1)
     rng = np.random.default_rng(7002)
-    drawn = [(sc._draw_any(rng), sc._draw_any(rng)) for _ in range(sc._BLOCK)]
+    drawn = [(_numpy_law(rng, 1), _numpy_law(rng, 1)) for _ in range(sc._BLOCK)]
     seen = 0
     for idx, xa, xp, ya, yp in sc._pair_groups(x, y):
         for s in (0.0, 0.1, 1.0, 10.0):
@@ -488,7 +566,7 @@ def test_hilbert_batched_sides_match_the_per_kernel_formulas():
         rng = np.random.default_rng([7003, sum(ord(ch) for ch in variant)])
         kernels, alphas, betas = [], [], []
         for _ in range(1000):
-            kernels.append(random_kernel(rng, 5, 5, symmetric_measures=(variant == "antisym")))
+            kernels.append(_numpy_kernel(rng, variant == "antisym"))
             if variant == "mixture":
                 alphas.append(complex(rng.normal(), rng.normal()))
                 betas.append(complex(rng.normal(), rng.normal()))
@@ -531,13 +609,72 @@ def test_smoothing_and_hilbert_rows_keep_their_order(monkeypatch):
     for variant in ("roundness", "mixture", "antisym"):
         rng = np.random.default_rng([7003, sum(ord(ch) for ch in variant)])
         for i in range(seeds):
-            f = random_kernel(rng, 5, 5, symmetric_measures=(variant == "antisym"))
+            f = _numpy_kernel(rng, variant == "antisym")
             ab = ((complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
                   if variant == "mixture" else ())
             lhs, rhs, _ = verify_scalar_hilbert(f, variant, *ab)
             expected.append({"check": f"hilbert_{variant}", "seed_index": i,
                              "lhs": lhs, "rhs": rhs})
     assert _json_sha(run_hilbert_suite(seeds=seeds)) == _json_sha(expected)
+
+
+def _same_bytes(got, want):
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_block_draws_are_numpys_own_draws_across_a_block_boundary():
+    # each suite's draws over _BLOCK + 1 seeds, in the runner's blocks, and
+    # the per-law helpers, against numpy's own calls seed by seed
+    blocks = (sc._BLOCK, 1)
+    for seed, fewest, centered in (([7001, 30], 2, True), (7002, 1, False)):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in blocks:
+            x, y = sc._draw_laws(ours, n, 2, fewest, centered)
+            for i in range(n):
+                for laws in (x, y):
+                    atoms, probs = _numpy_law(ref, fewest, centered)
+                    assert laws.sizes[i] == probs.size
+                    _same_bytes(laws.law(i).stack.array, atoms)
+                    _same_bytes(laws.law(i).probs, probs)
+        assert ours.bit_generator.state == ref.bit_generator.state
+    for variant in sc._HILBERT_VARIANTS:
+        seed = [7003, sum(ord(ch) for ch in variant)]
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        symmetric, mixed = variant == "antisym", variant == "mixture"
+        for n in blocks:
+            mu, nu, v, ab = sc._draw_kernels(ours, n, 5, 5, symmetric, mixed)
+            assert ab.shape == ((2, n) if mixed else (0, n))
+            for i in range(n):
+                f = _numpy_kernel(ref, symmetric)
+                _same_bytes(mu[i], f.mu)
+                _same_bytes(nu[i], f.nu)
+                _same_bytes(v[i], f.values)
+                if mixed:
+                    _same_bytes(ab[:, i], [complex(ref.normal(), ref.normal()) for _ in "ab"])
+        assert ours.bit_generator.state == ref.bit_generator.state
+    ours, ref = np.random.default_rng(7004), np.random.default_rng(7004)
+    for n in blocks:
+        (laws,) = sc._draw_laws(ours, n, 1, 1)
+        for i in range(n):
+            m = int(ref.integers(1, 5))
+            _same_bytes(laws.law(i, exp=True).stack.array, np.exp(ref.normal(size=m)))
+            _same_bytes(laws.law(i, exp=True).probs, ref.dirichlet(np.ones(m)))
+    assert ours.bit_generator.state == ref.bit_generator.state
+    for _ in range(sc._BLOCK + 1):
+        w = random_positive_dist(ours)
+        m = int(ref.integers(1, 5))
+        _same_bytes(w.stack.array, np.exp(ref.normal(size=m)))
+        _same_bytes(w.probs, ref.dirichlet(np.ones(m)))
+        x, y = random_centered_pair(ours)
+        for law in (x, y):
+            atoms, probs = _numpy_law(ref, 2, True)
+            _same_bytes(law.stack.array, atoms)
+            _same_bytes(law.probs, probs)
+        f = random_kernel(ours, 3, 4)
+        _same_bytes(f.mu, ref.dirichlet(np.ones(3)))
+        _same_bytes(f.nu, ref.dirichlet(np.ones(4)))
+        _same_bytes(f.values, ref.normal(size=(3, 4)) + 1j * ref.normal(size=(3, 4)))
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_suites_at_zero_seeds_and_a_negative_s():
