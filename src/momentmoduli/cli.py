@@ -167,11 +167,19 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if outcome.ok else 1
 
 
+def _sweep_values(flag: str, s: Optional[str]) -> list:
+    """The values of a sweep flag, [None] if it is not given; a list that is
+    given must hold at least one value."""
+    if s is None:
+        return [None]
+    vals = _parse_ints(s, "--n") if flag == "n" else _parse_list(s)
+    if not vals:
+        raise ValueError(f"--{flag} needs at least one value")
+    return vals
+
+
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    ps = _parse_list(ns.p)
-    nsv = _parse_ints(ns.n, "--n") if ns.n else [None]
-    qs = _parse_list(ns.q) if ns.q else [None]
-    epss = _parse_list(ns.eps) if ns.eps else [None]
+    ps, nsv, qs, epss = (_sweep_values(f, getattr(ns, f)) for f in ("p", "n", "q", "eps"))
     rows = []
     any_breach = False
     for p in ps:
@@ -359,8 +367,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (OverflowError, ZeroDivisionError) as e:
         # an exponent or magnitude whose constants over- or underflow (a
-        # denominator that underflows to 0 divides by zero)
-        print(f"error: a value leaves the floating-point range: {e}", file=sys.stderr)
+        # denominator that underflows to 0 divides by zero); float power
+        # raises OverflowError(errno, text), of which the text is printed
+        text = e.args[-1] if e.args else e
+        print(f"error: a value leaves the floating-point range: {text}", file=sys.stderr)
         return 2
     except MemoryError as e:
         # numpy refuses an array far beyond memory before it allocates it

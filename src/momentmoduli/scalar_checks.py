@@ -2,20 +2,18 @@
 
 Covers the q >= 3 sub-additivity machinery for centered real variables, the
 log-moment identities behind the multiplicative (L_0) inequalities, and the
-Parseval inequalities that drive the interpolation bounds.  Real-valued laws
-are :class:`FiniteDist` values on :class:`RealLine`.  Expectations over such
-laws are exact sums; the two genuinely continuous objects (the Laplace-
-transform identity for E log W and the circular log-moment) go through panel
-quadrature with explicit singularity and tail control.
+Parseval inequalities that drive the interpolation bounds.  Expectations
+over finite real laws are exact sums; the two genuinely continuous objects
+(the Laplace-transform identity for E log W and the circular log-moment) go
+through panel quadrature with explicit singularity and tail control.
 
-Each seeded inequality (sub-additivity, Gaussian smoothing and the three
-Hilbert variants) is one array kernel over a leading batch axis; the
-per-law functions run it on a batch of one.  The suite runners draw their
-seeds in blocks of ``_BLOCK``, check each block at once with the checks a
-law object makes, and run the kernel once per group of seeds with equal
-atom counts, so that every sum adds the same elements in the same order as
-on one law.  The per-law ``random_*`` helpers draw a block of one through
-the same code.
+Laws enter as arrays of atoms and probabilities; there are no per-law
+functions.  Each seeded inequality (sub-additivity, Gaussian smoothing and
+the three Hilbert variants) is one array kernel over a leading batch axis.
+The suite runners draw their seeds in blocks of ``_BLOCK``, check each
+block at once with :class:`_Laws` by the rules of ``FiniteDist``, and run
+the kernel once per group of seeds with equal atom counts, so that every
+sum adds the same elements in the same order as on a batch of one.
 
 In a block each seed only draws: ``integers`` for an atom count, then
 ``standard_normal`` and ``standard_exponential`` straight into the block's
@@ -32,29 +30,20 @@ of rows of at most ``spaces._BLOCK_ENTRIES`` entries: O(grid) memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .distributions import FiniteDist, check_prob_rows, check_probs, mean_row
+from .distributions import check_prob_rows
 from .quadrature import gl_panels, integrate_segment
 from .spaces import _BLOCK_ENTRIES, AtomStack, RealLine
 
 __all__ = [
-    "KernelMatrix",
     "phi_power",
     "alpha_fn",
     "beta_ratio",
-    "check_subadditivity",
-    "laplace_log_identity",
-    "gaussian_smoothing_check",
     "cosine_log_moment",
     "log_abs_cos_moment",
-    "verify_scalar_hilbert",
-    "random_centered_pair",
-    "random_positive_dist",
-    "random_kernel",
     "run_alpha_grid",
     "run_beta_scan",
     "run_subadditivity_suite",
@@ -81,42 +70,6 @@ _HILBERT_SIZE = 5
 
 # seeds drawn and checked per block by the suite runners
 _BLOCK = 256
-
-
-def _real_law(atoms: np.ndarray, probs: np.ndarray) -> FiniteDist:
-    return FiniteDist(_RL, AtomStack(_RL, atoms), probs)
-
-
-def _real_arrays(law: FiniteDist) -> Tuple[np.ndarray, np.ndarray]:
-    """A real-line law's atoms and probabilities; any other law is refused."""
-    if not isinstance(law.space, RealLine):
-        raise ValueError("the scalar checks take laws on RealLine; "
-                         f"got one on {type(law.space).__name__}")
-    return law.stack.array, law.probs
-
-
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """f(x, y) sampled on a product of finite probability spaces."""
-
-    mu: np.ndarray
-    nu: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        mu = np.array(self.mu, dtype=float)
-        nu = np.array(self.nu, dtype=float)
-        v = np.array(self.values, dtype=complex)
-        if mu.ndim != 1 or nu.ndim != 1:
-            raise ValueError("mu and nu must be probability vectors")
-        check_probs(mu, mu.size)
-        check_probs(nu, nu.size)
-        if v.shape != (mu.size, nu.size):
-            raise ValueError("values must be an (len(mu), len(nu)) matrix")
-        v.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "values", v)
 
 
 # --------------------------------------------------------------------------
@@ -165,23 +118,11 @@ def beta_ratio(beta: float, q: float) -> float:
     return num / den
 
 
-def check_subadditivity(x: FiniteDist, y: FiniteDist, q: float) -> Tuple[float, float, bool]:
-    """E|X+Y|^q vs E|X|^q + E|Y|^q for independent mean-zero real X, Y.
-
-    Returns (lhs, rhs, holds); inputs that are not centered to 1e-12 are
-    rejected rather than silently recentered.
-    """
-    xa, xp = _real_arrays(x)
-    ya, yp = _real_arrays(y)
-    if abs(mean_row(x)) > 1e-12 or abs(mean_row(y)) > 1e-12:
-        raise ValueError("check_subadditivity requires mean-zero inputs")
-    return _one(_subadditivity_sides(xa[None], xp[None], ya[None], yp[None], q))
-
-
 def _subadditivity_sides(xa, xp, ya, yp, q: float):
-    """(lhs, rhs, holds) arrays of the sub-additivity check for a batch of
-    laws: atoms and probabilities ``xa``, ``xp`` of shape (B, m) and ``ya``,
-    ``yp`` of shape (B, k)."""
+    """(lhs, rhs, holds) arrays of E|X+Y|^q against E|X|^q + E|Y|^q for a
+    batch of independent mean-zero real X, Y: atoms and probabilities
+    ``xa``, ``xp`` of shape (B, m) and ``ya``, ``yp`` of shape (B, k).
+    :class:`_Laws` rejects laws that are not centered to 1e-12."""
     s = xa[:, :, None] + ya[:, None, :]
     joint = xp[:, :, None] * yp[:, None, :]
     lhs = (joint * np.abs(s) ** q).reshape(len(s), -1).sum(axis=1)
@@ -195,12 +136,6 @@ def _holds(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
     return lhs >= rhs - tol * scale
 
 
-def _one(sides) -> Tuple[float, float, bool]:
-    """The (lhs, rhs, holds) of a batch of one as Python scalars."""
-    lhs, rhs, holds = sides
-    return float(lhs[0]), float(rhs[0]), bool(holds[0])
-
-
 def _quad(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u @ m @ v for each member of a batch: (B, m), (B, m, k), (B, k)."""
     return (u[:, None, :] @ m @ v[:, :, None])[:, 0, 0]
@@ -210,18 +145,18 @@ def _quad(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Log-moment identities
 # --------------------------------------------------------------------------
 
-def laplace_log_identity(w: FiniteDist) -> Tuple[float, float]:
+def _laplace_sides(atoms: np.ndarray, probs: np.ndarray) -> Tuple[float, float]:
     """E log W versus the Laplace-transform integral
-    int_0^inf (e^-s - E e^-sW) / s ds for strictly positive real W.
+    int_0^inf (e^-s - E e^-sW) / s ds for strictly positive real W, the law
+    of atoms ``atoms`` and probabilities ``probs``.
 
     lhs is the exact atom sum.  rhs truncates at S chosen so the analytic
     tail bound e^-S/S + e^-(w_min S)/(w_min S) drops below 1e-9, integrates
     [1e-12, S] on geometrically shrinking Gauss-Legendre panels, and extends
     the integrand by its limit E[W] - 1 on [0, 1e-12].
     """
-    atoms, probs = _real_arrays(w)
     if np.any(atoms <= 0):
-        raise ValueError("laplace_log_identity requires strictly positive atoms")
+        raise ValueError("the Laplace identity requires strictly positive atoms")
     lhs = float(probs @ np.log(atoms))
     wmin = float(atoms.min())
 
@@ -238,24 +173,16 @@ def laplace_log_identity(w: FiniteDist) -> Tuple[float, float]:
     while his[-1] * 0.5 > cutoff:
         his.append(his[-1] * 0.5)
     los = his[1:] + [cutoff]
-    total = (float(mean_row(w)) - 1.0) * cutoff
+    total = (float(np.dot(probs, atoms)) - 1.0) * cutoff
     for val in gl_panels(integrand, los, his, nodes=32):
         total += val
     return lhs, total
 
 
-def gaussian_smoothing_check(x: FiniteDist, y: FiniteDist,
-                             s: float) -> Tuple[float, float, bool]:
-    """E e^{-s (Z - Z')^2} >= E e^{-s (X - Y)^2} with Z the mixture of the
-    laws of X and Y on the real line; both sides are exact finite sums."""
-    xa, xp = _real_arrays(x)
-    ya, yp = _real_arrays(y)
-    return _one(_smoothing_sides(xa[None], xp[None], ya[None], yp[None], s))
-
-
 def _smoothing_sides(xa, xp, ya, yp, s: float):
-    """(lhs, rhs, holds) arrays of the smoothing check for a batch of laws
-    shaped as in :func:`_subadditivity_sides`.
+    """(lhs, rhs, holds) arrays of E e^{-s (Z - Z')^2} >= E e^{-s (X - Y)^2},
+    with Z the mixture of the laws of X and Y, for a batch of real laws
+    shaped as in :func:`_subadditivity_sides`; both sides are exact sums.
 
     Z's atoms are X's followed by Y's, each with half its mass: the law of
     ``distributions.mixture(x, y)``, whose merge of coinciding atoms the
@@ -305,9 +232,10 @@ def cosine_log_moment(alpha: float) -> float:
 # Quadratic (Hilbert-case) Parseval inequalities
 # --------------------------------------------------------------------------
 
-def verify_scalar_hilbert(f: KernelMatrix, variant: str, alpha: complex = 0.5,
-                          beta: complex = 0.5) -> Tuple[float, float, bool]:
-    """lhs >= rhs instances of the quadratic kernel inequalities.
+def _hilbert_sides(mu, nu, v, variant: str, alpha=0.5, beta=0.5):
+    """(lhs, rhs, holds) arrays of the quadratic kernel inequalities for a
+    batch of kernels f: masses ``mu`` (B, m) and ``nu`` (B, k), values ``v``
+    (B, m, k), and ``alpha``, ``beta`` scalars or (B,) arrays.
 
     variant "roundness": 2 ||f||^2 against the two marginal-difference terms.
     variant "mixture":   max{|1-alpha|^2 + |1-beta|^2, 1} ||f||^2 against the
@@ -316,14 +244,6 @@ def verify_scalar_hilbert(f: KernelMatrix, variant: str, alpha: complex = 0.5,
                          (requires mu == nu).
     All integrals are exact weighted sums.
     """
-    return _one(_hilbert_sides(f.mu[None], f.nu[None], f.values[None], variant,
-                               alpha, beta))
-
-
-def _hilbert_sides(mu, nu, v, variant: str, alpha=0.5, beta=0.5):
-    """(lhs, rhs, holds) arrays of :func:`verify_scalar_hilbert` for a batch
-    of kernels: masses ``mu`` (B, m) and ``nu`` (B, k), values ``v``
-    (B, m, k), and ``alpha``, ``beta`` scalars or (B,) arrays."""
     norm2 = _quad(mu, np.abs(v) ** 2, nu)
     row = (v @ nu[:, :, None])[:, :, 0]      # int f(x, .) dnu
     col = (mu[:, None, :] @ v)[:, 0, :]      # int f(., y) dmu
@@ -404,11 +324,6 @@ class _Laws:
         at = self.starts[idx, None] + np.arange(m)
         return self.atoms[at], self.probs[at]
 
-    def law(self, i: int, exp: bool = False) -> FiniteDist:
-        """Law i; with ``exp``, the law of e^X for X law i."""
-        at = slice(self.starts[i], self.starts[i] + self.sizes[i])
-        return _real_law(np.exp(self.atoms[at]) if exp else self.atoms[at], self.probs[at])
-
 
 def _draw_laws(rng: np.random.Generator, n: int, sides: int, fewest: int,
                centered: bool = False) -> List[_Laws]:
@@ -465,22 +380,6 @@ def _draw_kernels(rng: np.random.Generator, n: int, m: int, k: int,
     v = np.empty((n, m, k), dtype=complex)
     v.real, v.imag = re_im[:, 0], re_im[:, 1]
     return mu, nu, v, ab.view(complex).T
-
-
-def random_centered_pair(rng: np.random.Generator) -> Tuple[FiniteDist, FiniteDist]:
-    """Two independent mean-zero real laws with 2..4 atoms."""
-    x, y = _draw_laws(rng, 1, 2, 2, centered=True)
-    return x.law(0), y.law(0)
-
-
-def random_positive_dist(rng: np.random.Generator) -> FiniteDist:
-    return _draw_laws(rng, 1, 1, 1)[0].law(0, exp=True)
-
-
-def random_kernel(rng: np.random.Generator, m: int = 5, k: int = 5,
-                  symmetric_measures: bool = False) -> KernelMatrix:
-    mu, nu, v, _ = _draw_kernels(rng, 1, m, k, symmetric_measures)
-    return KernelMatrix(mu[0], nu[0], v[0])
 
 
 def _pair_groups(x: _Laws, y: _Laws):
@@ -620,8 +519,8 @@ def run_laplace_suite(n_dists: int = 20, tol: float = 1e-6) -> list:
     rng = np.random.default_rng(_LAPLACE_SEED)
     for lo in range(0, n_dists, _BLOCK):
         (laws,) = _draw_laws(rng, min(_BLOCK, n_dists - lo), 1, 1)
-        for i in range(len(laws.sizes)):
-            lhs, rhs = laplace_log_identity(laws.law(i, exp=True))
+        for i, (at, m) in enumerate(zip(laws.starts, laws.sizes)):
+            lhs, rhs = _laplace_sides(np.exp(laws.atoms[at:at + m]), laws.probs[at:at + m])
             if abs(lhs - rhs) > tol:
                 violations.append({"check": "laplace", "seed_index": lo + i,
                                    "lhs": lhs, "rhs": rhs})

@@ -368,6 +368,35 @@ def test_verify_with_an_exponent_beyond_the_float_range_exits_2(capsys):
     assert "floating-point range" in err
 
 
+# float power raises OverflowError(errno, text); the text alone is printed
+@pytest.mark.parametrize("args", [
+    ["verify", "two-point", "--p", "1e308"],
+    ["verify", "fn", "--n", "2", "--q", "1e308", "--p", "1"],
+], ids=["two-point", "fn"])
+def test_float_power_overflow_prints_its_text_alone(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: a value leaves the floating-point range: Numerical result out of range\n"
+
+
+# a value list that is given but holds no value runs nothing, so it is refused
+@pytest.mark.parametrize("args,flag", [
+    (["--construction", "fn", "--p", ",,", "--n", "2", "--q", "inf"], "p"),
+    (["--construction", "fn", "--p", "", "--n", "2", "--q", "inf"], "p"),
+    (["--construction", "fn", "--p", "1", "--n", ",", "--q", "inf"], "n"),
+    (["--construction", "fn", "--p", "1", "--n", "2", "--q", " , "], "q"),
+    (["--construction", "two-point", "--p", "2", "--n", ","], "n"),
+    (["--construction", "two-point", "--p", "2", "--n", ""], "n"),
+    (["--construction", "two-point", "--p", "2", "--q", ","], "q"),
+    (["--construction", "eps-atom", "--p", "2", "--eps", ","], "eps"),
+], ids=["p-commas", "p-empty", "fn-n", "fn-q", "two-point-n", "two-point-n-empty",
+        "two-point-q", "eps-atom-eps"])
+def test_sweep_with_an_empty_value_list_exits_2(capsys, args, flag):
+    code, out, err = run_cli(["sweep", *args], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --{flag} needs at least one value\n"
+
+
 # the two sizes are refused by numpy before anything is allocated (EiB, PiB)
 @pytest.mark.parametrize("args,message", [
     (["verify", "jensen-eps", "--eps", "0.5", "--p", "1e6"],

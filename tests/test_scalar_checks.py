@@ -9,18 +9,11 @@ import pytest
 from momentmoduli import quadrature, scalar_checks as sc
 from momentmoduli.distributions import FiniteDist, mixture
 from momentmoduli.scalar_checks import (
-    KernelMatrix,
     alpha_fn,
     beta_ratio,
-    check_subadditivity,
     cosine_log_moment,
-    gaussian_smoothing_check,
-    laplace_log_identity,
     log_abs_cos_moment,
     phi_power,
-    random_centered_pair,
-    random_positive_dist,
-    random_kernel,
     run_alpha_grid,
     run_beta_scan,
     run_cosine_suite,
@@ -28,16 +21,47 @@ from momentmoduli.scalar_checks import (
     run_laplace_suite,
     run_smoothing_suite,
     run_subadditivity_suite,
-    verify_scalar_hilbert,
 )
-from momentmoduli.spaces import AtomStack, CVector, RealLine, WeightedLq
+from momentmoduli.spaces import AtomStack, RealLine
 
 LOG2 = math.log(2.0)
 RL = RealLine()
+HALVES = [0.5, 0.5]
 
 
 def _real_law(atoms, probs):
     return FiniteDist(RL, AtomStack(RL, atoms), probs)
+
+
+def _one(sides):
+    # the (lhs, rhs, holds) of a batch of one as Python scalars
+    lhs, rhs, holds = sides
+    return float(lhs[0]), float(rhs[0]), bool(holds[0])
+
+
+def _pair(kernel, x, y, *args):
+    # a real-law pair kernel on the batch of one of the laws x and y, each
+    # given as (atoms, probs)
+    (xa, xp), (ya, yp) = x, y
+    return _one(kernel(*(np.array([a], dtype=float) for a in (xa, xp, ya, yp)), *args))
+
+
+def _subadditivity(x, y, q):
+    return _pair(sc._subadditivity_sides, x, y, q)
+
+
+def _smoothing(x, y, s):
+    return _pair(sc._smoothing_sides, x, y, s)
+
+
+def _hilbert(mu, nu, v, variant, *ab):
+    # the Hilbert kernel on the batch of one of the kernel (mu, nu, v)
+    return _one(sc._hilbert_sides(np.array([mu], dtype=float), np.array([nu], dtype=float),
+                                  np.array([v], dtype=complex), variant, *ab))
+
+
+def _laplace(atoms, probs):
+    return sc._laplace_sides(np.array(atoms, dtype=float), np.array(probs, dtype=float))
 
 
 # ---------------------------------------------------------------- alpha
@@ -88,17 +112,17 @@ def test_beta_scan_suite():
 # ---------------------------------------------------------------- subadditivity
 
 def test_subadditivity_two_point_q3():
-    x = FiniteDist.uniform(RL, [-1.0, 1.0])
-    lhs, rhs, holds = check_subadditivity(x, x, 3.0)
+    x = ([-1.0, 1.0], HALVES)
+    lhs, rhs, holds = _subadditivity(x, x, 3.0)
     assert lhs == pytest.approx(4.0, abs=1e-14)
     assert rhs == pytest.approx(2.0, abs=1e-14)
     assert holds
 
 
 def test_subadditivity_degenerate_equality():
-    x = FiniteDist.delta(RL, 0.0)
-    y = FiniteDist.uniform(RL, [-2.0, 2.0])
-    lhs, rhs, holds = check_subadditivity(x, y, 4.0)
+    x = ([0.0], [1.0])
+    y = ([-2.0, 2.0], HALVES)
+    lhs, rhs, holds = _subadditivity(x, y, 4.0)
     assert lhs == pytest.approx(rhs, rel=1e-14)
     assert holds
 
@@ -106,62 +130,62 @@ def test_subadditivity_degenerate_equality():
 def test_subadditivity_fails_below_three():
     # the beta counterexample family violates the inequality for q in (2, 3)
     beta = 0.05
-    d = _real_law(np.array([1 - beta, -beta]), np.array([beta, 1 - beta]))
-    lhs, rhs, holds = check_subadditivity(d, d, 2.5)
+    d = ([1 - beta, -beta], [beta, 1 - beta])
+    lhs, rhs, holds = _subadditivity(d, d, 2.5)
     assert not holds
     assert lhs < rhs
 
 
 def test_subadditivity_rejects_uncentered():
     with pytest.raises(ValueError):
-        check_subadditivity(FiniteDist.delta(RL, 1.0), FiniteDist.delta(RL, 0.0), 3.0)
+        _block([(np.array([1.0]), np.array([1.0])), (np.array([0.0]), np.array([1.0]))],
+               centered=True)
 
 
 # ---------------------------------------------------------------- laplace
 
 def test_laplace_identity_point_masses():
-    lhs, rhs = laplace_log_identity(FiniteDist.delta(RL, 1.0))
+    lhs, rhs = _laplace([1.0], [1.0])
     assert lhs == 0.0
     assert abs(rhs) < 1e-9
-    lhs, rhs = laplace_log_identity(FiniteDist.delta(RL, 2.0))
+    lhs, rhs = _laplace([2.0], [1.0])
     assert lhs == pytest.approx(LOG2, abs=1e-15)
     assert rhs == pytest.approx(LOG2, abs=1e-6)
 
 
 def test_laplace_identity_two_atoms():
-    w = FiniteDist.uniform(RL, [1.0, math.e ** 2])
-    lhs, rhs = laplace_log_identity(w)
+    lhs, rhs = _laplace([1.0, math.e ** 2], HALVES)
     assert lhs == pytest.approx(1.0, rel=1e-12)
     assert rhs == pytest.approx(1.0, abs=1e-6)
 
 
 def test_laplace_rejects_nonpositive_atoms():
-    with pytest.raises(ValueError):
-        laplace_log_identity(FiniteDist.uniform(RL, [1.0, 0.0]))
+    with pytest.raises(ValueError, match="requires strictly positive atoms"):
+        _laplace([1.0, 0.0], HALVES)
 
 
 # ---------------------------------------------------------------- smoothing
 
 def test_smoothing_identical_laws_equality():
-    x = FiniteDist.uniform(RL, [0.0, 1.0, 3.0])
-    lhs, rhs, holds = gaussian_smoothing_check(x, x, 1.0)
+    x = ([0.0, 1.0, 3.0], np.full(3, 1.0 / 3))
+    lhs, rhs, holds = _smoothing(x, x, 1.0)
     assert lhs == pytest.approx(rhs, rel=1e-14)
     assert holds
 
 
 def test_smoothing_s_zero_both_one():
-    x = FiniteDist.uniform(RL, [0.0, 1.0])
-    y = FiniteDist.delta(RL, 5.0)
-    lhs, rhs, holds = gaussian_smoothing_check(x, y, 0.0)
+    x = ([0.0, 1.0], HALVES)
+    y = ([5.0], [1.0])
+    lhs, rhs, holds = _smoothing(x, y, 0.0)
     assert lhs == pytest.approx(1.0, abs=1e-15)
     assert rhs == pytest.approx(1.0, abs=1e-15)
     assert holds
 
 
 def test_smoothing_strict_for_separated_laws():
-    x = FiniteDist.uniform(RL, [0.0, 1.0])
-    y = FiniteDist.delta(RL, 5.0)
-    lhs, rhs, holds = gaussian_smoothing_check(x, y, 1.0)
+    x = ([0.0, 1.0], HALVES)
+    y = ([5.0], [1.0])
+    lhs, rhs, holds = _smoothing(x, y, 1.0)
     assert holds
     assert lhs > rhs + 0.1
 
@@ -182,8 +206,7 @@ def test_cosine_constant_above_one_exceeds_minus_log_two():
 def test_hilbert_constant_kernel_roundness():
     mu = np.array([0.3, 0.7])
     nu = np.array([0.5, 0.5])
-    f = KernelMatrix(mu, nu, np.full((2, 2), 2.0 - 1.0j))
-    lhs, rhs, holds = verify_scalar_hilbert(f, "roundness")
+    lhs, rhs, holds = _hilbert(mu, nu, np.full((2, 2), 2.0 - 1.0j), "roundness")
     assert rhs == pytest.approx(0.0, abs=1e-14)
     assert lhs == pytest.approx(2 * 5.0, rel=1e-14)
     assert holds
@@ -193,8 +216,7 @@ def test_hilbert_rank_one_equality_case():
     # f(x, y) = phi(x) with mean-zero phi: the first marginal term saturates
     mu = np.array([0.5, 0.5])
     phi = np.array([1.0, -1.0], dtype=complex)
-    f = KernelMatrix(mu, np.array([1.0]), phi[:, None])
-    lhs, rhs, holds = verify_scalar_hilbert(f, "roundness")
+    lhs, rhs, holds = _hilbert(mu, [1.0], phi[:, None], "roundness")
     assert lhs == pytest.approx(rhs, abs=1e-12)
     assert holds
 
@@ -202,45 +224,31 @@ def test_hilbert_rank_one_equality_case():
 def test_hilbert_mixture_tightness():
     mu = np.array([0.5, 0.5])
     phi = np.array([1.0, -1.0], dtype=complex)
-    f = KernelMatrix(mu, np.array([1.0]), phi[:, None])
-    lhs, rhs, _ = verify_scalar_hilbert(f, "mixture", 1.0, 1.0)
+    lhs, rhs, _ = _hilbert(mu, [1.0], phi[:, None], "mixture", 1.0, 1.0)
     assert rhs / lhs == pytest.approx(1.0, abs=1e-12)  # mean-zero extremizer
-    const = KernelMatrix(mu, np.array([1.0]), np.full((2, 1), 3.0 + 0j))
-    lhs, rhs, _ = verify_scalar_hilbert(const, "mixture", 0.0, 0.0)
+    lhs, rhs, _ = _hilbert(mu, [1.0], np.full((2, 1), 3.0 + 0j), "mixture", 0.0, 0.0)
     assert rhs / lhs == pytest.approx(1.0, abs=1e-12)  # constant extremizer
 
 
 def test_hilbert_mixture_random_alpha_beta(rng):
     for _ in range(100):
-        f = random_kernel(rng, 5, 5)
+        f = _numpy_kernel(rng, False)
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
-        lhs, rhs, holds = verify_scalar_hilbert(f, "mixture", a, b)
+        lhs, rhs, holds = _hilbert(*f, "mixture", a, b)
         assert holds
 
 
 def test_hilbert_antisym_requires_symmetric_measures(rng):
-    f = random_kernel(rng, 3, 4)
+    f = _numpy_kernel(rng, False, 3, 4)
     with pytest.raises(ValueError):
-        verify_scalar_hilbert(f, "antisym")
-
-
-@pytest.mark.parametrize("mu,nu,message", [
-    ([float("nan"), 1.0], [1.0], "nonnegative"),
-    ([1.0], [float("nan")], "nonnegative"),
-    ([float("inf"), 0.0], [1.0], "sum to 1"),
-    ([1.5, -0.5], [1.0], "nonnegative"),
-    ([1.0], [0.5, -0.5, 1.0], "nonnegative"),
-], ids=["mu-nan", "nu-nan", "mu-inf", "mu-negative", "nu-negative"])
-def test_kernel_matrix_masses_follow_the_probability_rule(mu, nu, message):
-    with pytest.raises(ValueError, match=message):
-        KernelMatrix(mu, nu, np.ones((len(mu), len(nu))))
+        _hilbert(*f, "antisym")
 
 
 def test_hilbert_unknown_variant():
-    f = random_kernel(np.random.default_rng(0), 2, 2)
+    f = _numpy_kernel(np.random.default_rng(0), False, 2, 2)
     with pytest.raises(ValueError):
-        verify_scalar_hilbert(f, "nope")
+        _hilbert(*f, "nope")
 
 
 # ---------------------------------------------------------------- suites
@@ -256,24 +264,19 @@ def test_suites_clean_small():
 
 def test_beta_ratio_matches_direct_moment_computation(rng):
     # dual route: the closed form against moments of the explicit two-point
-    # family through check_subadditivity
+    # family through the sub-additivity kernel
     for _ in range(50):
         beta = float(rng.uniform(0.01, 0.5))
         q = float(rng.uniform(0.5, 6.0))
-        d = _real_law(np.array([1 - beta, -beta]), np.array([beta, 1 - beta]))
-        a = d.stack.array
-        s = a[:, None] + a[None, :]
-        joint = np.outer(d.probs, d.probs)
-        lhs = float((joint * np.abs(s) ** q).sum())
-        rhs = 2 * float((d.probs * np.abs(a) ** q).sum())
+        d = ([1 - beta, -beta], [beta, 1 - beta])
+        lhs, rhs, _ = _subadditivity(d, d, q)
         assert beta_ratio(beta, q) == pytest.approx(lhs / rhs, rel=1e-12)
 
 
 def test_laplace_identity_with_small_atom_tail():
     # a tiny atom pushes the truncation point out by 1/w_min; the tail logic
     # must still deliver 1e-6
-    w = _real_law(np.array([0.001, 5.0]), np.array([0.5, 0.5]))
-    lhs, rhs = laplace_log_identity(w)
+    lhs, rhs = _laplace([0.001, 5.0], HALVES)
     assert lhs == pytest.approx(rhs, abs=1e-6)
 
 
@@ -300,11 +303,12 @@ def _numpy_law(rng, fewest, centered=False):
     return (atoms - probs @ atoms if centered else atoms), probs
 
 
-def _numpy_kernel(rng, symmetric):
-    # the Hilbert suite's random 5 x 5 kernel drawn with numpy's own calls
-    mu = rng.dirichlet(np.ones(5))
-    nu = mu if symmetric else rng.dirichlet(np.ones(5))
-    return KernelMatrix(mu, nu, rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+def _numpy_kernel(rng, symmetric, m=5, k=5):
+    # mu, nu and the values of a random m x k kernel drawn with numpy's own
+    # calls, the Hilbert suite's at m = k = 5
+    mu = rng.dirichlet(np.ones(m))
+    nu = mu if symmetric else rng.dirichlet(np.ones(k))
+    return mu, nu, rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
 
 
 def _suite_sides(name):
@@ -313,48 +317,33 @@ def _suite_sides(name):
         for q in (3.0, 4.0, 5.5):
             rng = np.random.default_rng([7001, int(q * 10)])
             for _ in range(1000):
-                x, y = random_centered_pair(rng)
-                out += check_subadditivity(x, y, q)[:2]
+                x, y = _numpy_law(rng, 2, True), _numpy_law(rng, 2, True)
+                out += _subadditivity(x, y, q)[:2]
     elif name == "gaussian":
         rng = np.random.default_rng(7002)
         for _ in range(1000):
-            m = int(rng.integers(1, 5))
-            x = _real_law(rng.normal(size=m), rng.dirichlet(np.ones(m)))
-            k = int(rng.integers(1, 5))
-            y = _real_law(rng.normal(size=k), rng.dirichlet(np.ones(k)))
+            x, y = _numpy_law(rng, 1), _numpy_law(rng, 1)
             for s in (0.1, 1.0, 10.0):
-                out += gaussian_smoothing_check(x, y, s)[:2]
+                out += _smoothing(x, y, s)[:2]
     elif name == "hilbert":
         for variant in ("roundness", "mixture", "antisym"):
             rng = np.random.default_rng([7003, sum(ord(ch) for ch in variant)])
             for _ in range(1000):
-                mu = rng.dirichlet(np.ones(5))
-                nu = mu if variant == "antisym" else rng.dirichlet(np.ones(5))
-                vals = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+                f = _numpy_kernel(rng, variant == "antisym")
                 ab = ((complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
                       if variant == "mixture" else ())
-                out += verify_scalar_hilbert(KernelMatrix(mu, nu, vals), variant, *ab)[:2]
+                out += _hilbert(*f, variant, *ab)[:2]
     else:
         rng = np.random.default_rng(7004)
         for _ in range(20):
-            out += laplace_log_identity(random_positive_dist(rng))
+            atoms, probs = _numpy_law(rng, 1)
+            out += sc._laplace_sides(np.exp(atoms), probs)
     return out
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_GOLDEN))
 def test_suite_sides_golden(name):
     assert _sha(_suite_sides(name)) == SUITE_GOLDEN[name]
-
-
-def test_scalar_checks_reject_laws_off_the_real_line():
-    off = FiniteDist.uniform(WeightedLq(2.0), [CVector([1.0]), CVector([-1.0])])
-    real = FiniteDist.uniform(RL, [-1.0, 1.0])
-    with pytest.raises(ValueError, match="RealLine"):
-        check_subadditivity(off, real, 3.0)
-    with pytest.raises(ValueError, match="RealLine"):
-        laplace_log_identity(off)
-    with pytest.raises(ValueError, match="RealLine"):
-        gaussian_smoothing_check(off, off, 1.0)
 
 
 # ---------------------------------------------------------------- batched suites
@@ -510,8 +499,8 @@ def test_subadditivity_runner_across_a_block_boundary():
     for q in (1.5, 3.0):
         rng = np.random.default_rng([7001, int(q * 10)])
         for i in range(seeds):
-            x, y = _real_law(*_numpy_law(rng, 2, True)), _real_law(*_numpy_law(rng, 2, True))
-            lhs, rhs, holds = check_subadditivity(x, y, q)
+            x, y = _numpy_law(rng, 2, True), _numpy_law(rng, 2, True)
+            lhs, rhs, holds = _subadditivity(x, y, q)
             if not holds:
                 expected.append({"check": "subadditivity", "q": q,
                                  "seed_index": i, "lhs": lhs, "rhs": rhs})
@@ -529,20 +518,17 @@ def test_smoothing_kernel_on_one_block_matches_the_per_law_check():
         for s in (0.0, 0.1, 1.0, 10.0):
             lhs, rhs, holds = sc._smoothing_sides(xa, xp, ya, yp, s)
             for j, i in enumerate(idx):
-                law_x, law_y = _real_law(*drawn[i][0]), _real_law(*drawn[i][1])
-                assert gaussian_smoothing_check(law_x, law_y, s) == \
-                    (lhs[j], rhs[j], holds[j])
+                assert _smoothing(*drawn[i], s) == (lhs[j], rhs[j], holds[j])
                 # Z without the merge is mixture()'s law to the bit here
-                z = mixture(law_x, law_y)
+                z = mixture(_real_law(*drawn[i][0]), _real_law(*drawn[i][1]))
                 dz = z.stack.array[:, None] - z.stack.array[None, :]
                 assert lhs[j] == float(z.probs @ np.exp(-s * dz ** 2) @ z.probs)
         seen += len(idx)
     assert seen == sc._BLOCK
 
 
-def _parent_hilbert(f, variant, alpha=0.5, beta=0.5):
+def _parent_hilbert(mu, nu, v, variant, alpha=0.5, beta=0.5):
     # the per-kernel formulas, one kernel at a time
-    mu, nu, v = f.mu, f.nu, f.values
     norm2 = float(mu @ (np.abs(v) ** 2) @ nu)
     row = v @ nu
     col = mu @ v
@@ -574,12 +560,10 @@ def test_hilbert_batched_sides_match_the_per_kernel_formulas():
             block = kernels[lo:lo + sc._BLOCK]
             extra = (np.array(alphas[lo:lo + sc._BLOCK]),
                      np.array(betas[lo:lo + sc._BLOCK])) if alphas else ()
-            lhs, rhs, holds = sc._hilbert_sides(
-                np.stack([f.mu for f in block]), np.stack([f.nu for f in block]),
-                np.stack([f.values for f in block]), variant, *extra)
+            lhs, rhs, holds = sc._hilbert_sides(*map(np.stack, zip(*block)), variant, *extra)
             for j, f in enumerate(block):
                 ab = (alphas[lo + j], betas[lo + j]) if alphas else ()
-                want = _parent_hilbert(f, variant, *ab)
+                want = _parent_hilbert(*f, variant, *ab)
                 assert lhs[j] == pytest.approx(want[0], rel=1e-14, abs=0)
                 assert rhs[j] == pytest.approx(want[1], rel=1e-14, abs=0)
                 assert holds[j] == want[2]
@@ -594,12 +578,9 @@ def test_smoothing_and_hilbert_rows_keep_their_order(monkeypatch):
     expected = []
     rng = np.random.default_rng(7002)
     for i in range(seeds):
-        m = int(rng.integers(1, 5))
-        x = _real_law(rng.normal(size=m), rng.dirichlet(np.ones(m)))
-        k = int(rng.integers(1, 5))
-        y = _real_law(rng.normal(size=k), rng.dirichlet(np.ones(k)))
+        x, y = _numpy_law(rng, 1), _numpy_law(rng, 1)
         for s in svals:
-            lhs, rhs, holds = gaussian_smoothing_check(x, y, s)
+            lhs, rhs, holds = _smoothing(x, y, s)
             assert not holds
             expected.append({"check": "smoothing", "s": s, "seed_index": i,
                              "lhs": lhs, "rhs": rhs})
@@ -612,7 +593,7 @@ def test_smoothing_and_hilbert_rows_keep_their_order(monkeypatch):
             f = _numpy_kernel(rng, variant == "antisym")
             ab = ((complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
                   if variant == "mixture" else ())
-            lhs, rhs, _ = verify_scalar_hilbert(f, variant, *ab)
+            lhs, rhs, _ = _hilbert(*f, variant, *ab)
             expected.append({"check": f"hilbert_{variant}", "seed_index": i,
                              "lhs": lhs, "rhs": rhs})
     assert _json_sha(run_hilbert_suite(seeds=seeds)) == _json_sha(expected)
@@ -622,9 +603,15 @@ def _same_bytes(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def _law(laws, i):
+    # the atoms and probabilities of law i of a block
+    at = slice(laws.starts[i], laws.starts[i] + laws.sizes[i])
+    return laws.atoms[at], laws.probs[at]
+
+
 def test_block_draws_are_numpys_own_draws_across_a_block_boundary():
-    # each suite's draws over _BLOCK + 1 seeds, in the runner's blocks, and
-    # the per-law helpers, against numpy's own calls seed by seed
+    # each suite's draws over _BLOCK + 1 seeds, in the runner's blocks,
+    # against numpy's own calls seed by seed
     blocks = (sc._BLOCK, 1)
     for seed, fewest, centered in (([7001, 30], 2, True), (7002, 1, False)):
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -634,8 +621,7 @@ def test_block_draws_are_numpys_own_draws_across_a_block_boundary():
                 for laws in (x, y):
                     atoms, probs = _numpy_law(ref, fewest, centered)
                     assert laws.sizes[i] == probs.size
-                    _same_bytes(laws.law(i).stack.array, atoms)
-                    _same_bytes(laws.law(i).probs, probs)
+                    _same_bytes(_law(laws, i), (atoms, probs))
         assert ours.bit_generator.state == ref.bit_generator.state
     for variant in sc._HILBERT_VARIANTS:
         seed = [7003, sum(ord(ch) for ch in variant)]
@@ -645,10 +631,10 @@ def test_block_draws_are_numpys_own_draws_across_a_block_boundary():
             mu, nu, v, ab = sc._draw_kernels(ours, n, 5, 5, symmetric, mixed)
             assert ab.shape == ((2, n) if mixed else (0, n))
             for i in range(n):
-                f = _numpy_kernel(ref, symmetric)
-                _same_bytes(mu[i], f.mu)
-                _same_bytes(nu[i], f.nu)
-                _same_bytes(v[i], f.values)
+                want_mu, want_nu, want_v = _numpy_kernel(ref, symmetric)
+                _same_bytes(mu[i], want_mu)
+                _same_bytes(nu[i], want_nu)
+                _same_bytes(v[i], want_v)
                 if mixed:
                     _same_bytes(ab[:, i], [complex(ref.normal(), ref.normal()) for _ in "ab"])
         assert ours.bit_generator.state == ref.bit_generator.state
@@ -656,25 +642,8 @@ def test_block_draws_are_numpys_own_draws_across_a_block_boundary():
     for n in blocks:
         (laws,) = sc._draw_laws(ours, n, 1, 1)
         for i in range(n):
-            m = int(ref.integers(1, 5))
-            _same_bytes(laws.law(i, exp=True).stack.array, np.exp(ref.normal(size=m)))
-            _same_bytes(laws.law(i, exp=True).probs, ref.dirichlet(np.ones(m)))
+            _same_bytes(_law(laws, i), _numpy_law(ref, 1))
     assert ours.bit_generator.state == ref.bit_generator.state
-    for _ in range(sc._BLOCK + 1):
-        w = random_positive_dist(ours)
-        m = int(ref.integers(1, 5))
-        _same_bytes(w.stack.array, np.exp(ref.normal(size=m)))
-        _same_bytes(w.probs, ref.dirichlet(np.ones(m)))
-        x, y = random_centered_pair(ours)
-        for law in (x, y):
-            atoms, probs = _numpy_law(ref, 2, True)
-            _same_bytes(law.stack.array, atoms)
-            _same_bytes(law.probs, probs)
-        f = random_kernel(ours, 3, 4)
-        _same_bytes(f.mu, ref.dirichlet(np.ones(3)))
-        _same_bytes(f.nu, ref.dirichlet(np.ones(4)))
-        _same_bytes(f.values, ref.normal(size=(3, 4)) + 1j * ref.normal(size=(3, 4)))
-        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_suites_at_zero_seeds_and_a_negative_s():
@@ -722,10 +691,30 @@ def test_block_drops_zero_probability_atoms_and_checks_means():
 
 
 def test_per_law_messages():
-    f = random_kernel(np.random.default_rng(0), 3, 4)
+    f = _numpy_kernel(np.random.default_rng(0), False, 3, 4)
     with pytest.raises(ValueError, match="^antisym variant requires mu == nu$"):
-        verify_scalar_hilbert(f, "antisym")
+        _hilbert(*f, "antisym")
     with pytest.raises(ValueError, match="^unknown variant 'nope'$"):
-        verify_scalar_hilbert(f, "nope")
+        _hilbert(*f, "nope")
+    with pytest.raises(ValueError, match="^s must be nonnegative$"):
+        _smoothing(([0.0], [1.0]), ([0.0], [1.0]), -1.0)
     with pytest.raises(ValueError, match="^check_subadditivity requires mean-zero inputs$"):
-        check_subadditivity(FiniteDist.delta(RL, 1.0), FiniteDist.delta(RL, 0.0), 3.0)
+        _block([(np.array([1.0]), np.array([1.0])), (np.array([0.0]), np.array([1.0]))],
+               centered=True)
+
+
+def test_suites_build_no_law_objects(monkeypatch):
+    # every runner works on arrays: none builds a FiniteDist
+    def refuse(self):
+        raise AssertionError("a suite built a law object")
+
+    monkeypatch.setattr(FiniteDist, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="law object"):
+        FiniteDist.delta(RL, 0.0)
+    assert run_alpha_grid(qs=(3.0,), grid=20) == []
+    assert run_beta_scan(grid=20) == []
+    assert run_subadditivity_suite(qs=(3.0,), seeds=20) == []
+    assert run_smoothing_suite(svals=(1.0,), seeds=20) == []
+    assert run_hilbert_suite(seeds=20) == []
+    assert run_cosine_suite(n_alphas=4) == []
+    assert run_laplace_suite(n_dists=4) == []
